@@ -12,6 +12,12 @@ Four implementations, picked by field and problem size:
   int64 matrices.
 * :class:`SparseBasis` -- incremental reduction with sparse
   Fraction-valued rows for exact rational runs.
+
+Homogeneous ideal layers, for both Hilbert series and truncated ideals,
+come from one builder, :func:`gsalg.series.ideal_layers`: it reduces each
+layer with ``rref_gf2`` over GF(2), ``rref_modp`` over GF(p) and
+``SparseBasis`` over QQ.  Mixed-degree truncated ideals over GF(p), GF(2)
+included, still use the float64 block engine in :mod:`gsalg.quotient`.
 """
 
 from __future__ import annotations

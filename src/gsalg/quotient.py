@@ -6,7 +6,7 @@ degree-D truncation of the two-sided ideal they generate is the span of
     trunc_D(u * f * v),   deg u + deg v <= D - 2,
 
 inside the space of polynomials of degree <= D.  Because every relation has
-order >= 2, this span equals (I + F^{D+1}) /\ F_{<=D} exactly, where I is the
+order >= 2, this span equals (I + F^{D+1}) /\\ F_{<=D} exactly, where I is the
 untruncated ideal and F^k the span of words of degree >= k.  Everything in
 this module reduces to row echelon computations over that span:
 
@@ -14,6 +14,16 @@ this module reduces to row echelon computations over that span:
 * a certificate that the quotient is finite dimensional, namely the least k
   with every degree-k monomial in the span,
 * a commutativity probe testing each commutator x_i x_j - x_j x_i.
+
+Homogeneous relation sets are built one degree at a time by
+:func:`gsalg.series.ideal_layers`, the layer recursion behind
+``hilbert_quotient``, and each reduced layer serves as that degree's
+membership block: a ``BitBasis`` over GF(2) (rows from ``rref_gf2``), the
+``rref_modp`` rows checked with the float64 ``_mod_reduce`` residue over
+GF(p), a ``SparseBasis`` over QQ.  Mixed-degree relation sets enumerate
+every trunc_D(u * f * v) into one basis over all degrees <= D: a
+``SparseBasis`` over QQ and the float64 mod-p engine below for every prime,
+GF(2) included.  The float64 arithmetic is exact only for p < 2**15.
 
 A certificate k means F^k is contained in I + F^{D+1}.  Substituting the
 inclusion into itself bounds F^k inside I + F^N for every N, so in the
@@ -34,7 +44,8 @@ import numpy as np
 from .elements import Element
 from .fields import QQ, Field
 from .limits import require_capacity
-from .linalg import SparseBasis
+from .linalg import BitBasis, SparseBasis
+from .series import ideal_layers
 
 __all__ = [
     "QuotientError",
@@ -74,7 +85,7 @@ def default_precision_cap(n: int) -> int:
 
 
 def _check_inputs(relations: Sequence[Element], n: Optional[int], D: int,
-                  cap: Optional[int]) -> int:
+                  fld: Field, cap: Optional[int]) -> int:
     if n is None:
         if not relations:
             raise QuotientError("empty relation list needs an explicit generator count")
@@ -94,6 +105,10 @@ def _check_inputs(relations: Sequence[Element], n: Optional[int], D: int,
     if D > limit:
         raise QuotientError(
             f"precision {D} exceeds the cap {limit} for {n} generators; pass cap= to override")
+    # _mod_reduce's float64 products are exact only below this prime
+    if not fld.is_rational and fld.char >= _DENSE_MAX_PRIME:
+        raise QuotientError(
+            f"dense mod-p path limited to p < {_DENSE_MAX_PRIME}, got {fld.char}")
     return n
 
 
@@ -166,8 +181,6 @@ class _GFpBasis:
     """Incremental reduced row echelon basis over GF(p), dense rows."""
 
     def __init__(self, p: int, ncols: int):
-        if p >= _DENSE_MAX_PRIME:
-            raise QuotientError(f"dense mod-p path limited to p < {_DENSE_MAX_PRIME}, got {p}")
         require_capacity(2 * ncols * ncols + 16 * ncols, "truncated ideal basis")
         self.p = p
         self.ncols = ncols
@@ -220,7 +233,7 @@ def _element_terms(f: Element, fld: Field):
 
 
 def _dense_batch(terms, n: int, su: int, sv: int, D: int,
-                 offsets: Optional[List[int]], ncols: int, p: int) -> Optional[np.ndarray]:
+                 offsets: List[int], ncols: int, p: int) -> Optional[np.ndarray]:
     """All rows trunc_D(u f v) with deg u = su, deg v = sv, as a matrix mod p."""
     m = n ** su * n ** sv
     cols_used = False
@@ -232,24 +245,20 @@ def _dense_batch(terms, n: int, su: int, sv: int, D: int,
         tot = su + k + sv
         if tot > D:
             continue
-        cols = (iu * n ** k + idx) * n ** sv + iv
-        if offsets is not None:
-            cols = cols + offsets[tot]
+        cols = (iu * n ** k + idx) * n ** sv + iv + offsets[tot]
         mat[rng, cols] = (mat[rng, cols] + int(c)) % p
         cols_used = True
     return mat if cols_used else None
 
 
 def _sparse_vec(terms, n: int, su: int, iu: int, sv: int, iv: int, D: int,
-                offsets: Optional[List[int]]) -> Dict[int, Fraction]:
+                offsets: List[int]) -> Dict[int, Fraction]:
     vec: Dict[int, Fraction] = {}
     for k, idx, c in terms:
         tot = su + k + sv
         if tot > D:
             continue
-        col = (iu * n ** k + idx) * n ** sv + iv
-        if offsets is not None:
-            col += offsets[tot]
+        col = (iu * n ** k + idx) * n ** sv + iv + offsets[tot]
         vec[col] = vec.get(col, Fraction(0)) + c
     return {c: v for c, v in vec.items() if v}
 
@@ -320,14 +329,14 @@ class TruncatedIdeal:
     def _block_contains(self, j: int, comp: Element) -> bool:
         if j < 2:
             return False
-        block = self._blocks.get(j)
+        block = self._blocks[j]
         if block is _FULL:
             return True
-        if block is None:
-            return False
         vec = self._vector(comp, mixed=False)
         if self.field.is_rational:
             return block.contains(vec)
+        if self.field.is_gf2:
+            return block.contains(sum(1 << col for col, c in vec.items() if c))
         return block.contains(self._dense_vector(vec, ncols=self.n ** j))
 
     def _vector(self, f: Element, mixed: bool) -> Dict[int, Fraction]:
@@ -362,16 +371,22 @@ def truncated_ideal_basis(relations: Sequence[Element], n: Optional[int] = None,
 
     Relations must have order >= 2, which makes the span equal to
     (I + F^{D+1}) /\\ F_{<=D} on the nose.  Homogeneous relation sets are
-    processed degree by degree; once some degree has full rank every higher
-    degree is full too (multiply a spanned monomial by a generator), so the
-    scan stops early.
+    processed degree by degree with :func:`gsalg.series.ideal_layers`; once
+    some degree has full rank every higher degree is full too (multiply a
+    spanned monomial by a generator), so the scan stops early.
     """
-    n = _check_inputs(relations, n, D, cap)
-    homogeneous = all(f.is_homogeneous() for f in relations)
-    terms = [( _element_terms(f, fld), f.min_degree(), f.degree()) for f in relations]
-    if homogeneous:
-        blocks, dims = _build_blocks(terms, n, D, fld)
+    n = _check_inputs(relations, n, D, fld, cap)
+    if all(f.is_homogeneous() for f in relations):
+        blocks: Dict[int, object] = {}
+        dims: List[int] = []
+        for j, (rank, layer) in enumerate(ideal_layers(relations, D, n, fld), start=1):
+            blocks[j] = _FULL if rank == n ** j else _layer_block(layer, fld, n ** j)
+            dims.append(rank)
+        for j in range(len(dims) + 1, D + 1):
+            blocks[j] = _FULL
+            dims.append(n ** j)
         return TruncatedIdeal(n, D, fld, True, tuple(dims), blocks, None, None)
+    terms = [(_element_terms(f, fld), f.min_degree(), f.degree()) for f in relations]
     offsets = [0] * (D + 2)
     for j in range(1, D + 1):
         offsets[j + 1] = offsets[j] + n ** j
@@ -384,55 +399,16 @@ def truncated_ideal_basis(relations: Sequence[Element], n: Optional[int] = None,
     return TruncatedIdeal(n, D, fld, False, tuple(dims), None, basis, offsets)
 
 
-def _build_blocks(terms, n: int, D: int, fld: Field):
-    blocks: Dict[int, object] = {}
-    dims: List[int] = [0] * D
-    full_from: Optional[int] = None
-    for j in range(2, D + 1):
-        if full_from is not None:
-            blocks[j] = _FULL
-            dims[j - 1] = n ** j
-            continue
-        ncols = n ** j
-        if fld.is_rational:
-            basis = SparseBasis()
-            for tl, lo, hi in terms:
-                if hi > j:
-                    continue
-                s = j - hi
-                for su in range(s + 1):
-                    sv = s - su
-                    for iu in range(n ** su):
-                        for iv in range(n ** sv):
-                            vec = _sparse_vec(tl, n, su, iu, sv, iv, D, None)
-                            if vec:
-                                basis.insert(vec)
-                    if basis.rank == ncols:
-                        break
-                if basis.rank == ncols:
-                    break
-            rank = basis.rank
-        else:
-            basis = _GFpBasis(fld.char, ncols)
-            for tl, lo, hi in terms:
-                if hi > j:
-                    continue
-                s = j - hi
-                for su in range(s + 1):
-                    sv = s - su
-                    batch = _dense_batch(tl, n, su, sv, D, None, ncols, fld.char)
-                    if batch is not None:
-                        basis.insert_block(batch)
-                    if basis.rank == ncols:
-                        break
-                if basis.rank == ncols:
-                    break
-            rank = basis.rank
-        blocks[j] = _FULL if rank == ncols else basis
-        dims[j - 1] = rank
-        if rank == ncols:
-            full_from = j
-    return blocks, dims
+def _layer_block(layer, fld: Field, ncols: int):
+    """Membership block for one reduced layer from :func:`ideal_layers`."""
+    if fld.is_rational:
+        return layer
+    if fld.is_gf2:
+        return BitBasis({row & -row: row for row in layer})
+    rows, pivots = layer
+    block = _GFpBasis(fld.char, ncols)
+    block.rows, block.piv = rows.astype(np.int16), pivots
+    return block
 
 
 def _build_mixed(terms, n: int, D: int, fld: Field, offsets: List[int]):

@@ -21,9 +21,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .elements import Element
-from .fields import GF2, QQ, Field
+from .fields import GF2, Field
 from .limits import require_capacity
-from .linalg import SparseBasis, pack_gf2, rref_gf2, rref_modp
+from .linalg import SparseBasis, rref_gf2, rref_modp
 
 __all__ = [
     "DegreeProfile",
@@ -241,47 +241,67 @@ def _check_homogeneous(relations: List[Element], d: int):
 
 def hilbert_quotient(relations: List[Element], n_max: int, d: int = 2,
                      fld: Field = GF2) -> List[int]:
-    """Graded dimensions a_0..a_n of F/(ideal generated by the relations).
+    """Graded dimensions a_0..a_n of F/(ideal generated by the relations)."""
+    if n_max < 0:
+        raise ValueError(f"max degree must be non-negative, got {n_max}")
+    _check_homogeneous(relations, d)
+    dims = [1]
+    for n, (rank, _) in enumerate(ideal_layers(relations, n_max, d, fld), start=1):
+        dims.append(d ** n - rank)
+    return dims + [0] * (n_max + 1 - len(dims))
 
-    The degree-n layer of the ideal is built incrementally as
+
+def ideal_layers(relations: Sequence[Element], n_max: int, d: int, fld: Field):
+    """Yield (rank, basis) for the degree-n layer of a homogeneous ideal, n = 1, 2, ...
+
+    The degree-n layer is built incrementally as
     letter * layer(n-1) + sum_f f * A(n - deg f), which spans the same
     space as all u*f*v and keeps row counts near the ambient dimension.
+    Iteration stops after degree n_max, or after the first full layer since
+    every later one is full too.  Each basis is the layer's reduced row
+    echelon form over word indices: int rows (bit j = word j, pivot = lowest
+    set bit) over GF(2), an (int64 rows, pivot columns) pair over GF(p), a
+    SparseBasis over QQ.
     """
-    _check_homogeneous(relations, d)
-    by_degree: Dict[int, List[Element]] = {}
+    by_degree: Dict[int, List[List[Tuple[int, object]]]] = {}
     for f in relations:
-        by_degree.setdefault(f.degree(), []).append(f)
-    dims = [1]
-    if fld == GF2:
-        basis_rows: List[int] = []
-        for n in range(1, n_max + 1):
-            ncols = d ** n
-            require_capacity(ncols * (len(basis_rows) * d + 4) // 4,
-                             f"ideal layer in degree {n}")
-            rows: List[int] = []
-            block = d ** (n - 1)
-            for b in basis_rows:
-                for letter in range(d):
-                    rows.append(b << (letter * block))
-            for m, fs in by_degree.items():
-                if m > n:
-                    continue
-                shift = d ** (n - m)
-                for f in fs:
-                    spread = 0
-                    for (deg, w), c in f.coeffs.items():
-                        if fld.coerce(c):
-                            spread |= 1 << (w * shift)
-                    for u in range(shift):
-                        rows.append(spread << u)
-            rank, basis_rows = _gf2_reduce_rows(rows, ncols)
-            dims.append(ncols - rank)
-            if dims[-1] == 0:
-                dims.extend([0] * (n_max - n))
-                break
+        terms = [(w, fld.coerce(c)) for (deg, w), c in f.coeffs.items()]
+        by_degree.setdefault(f.degree(), []).append([(w, c) for w, c in terms if c])
+    if fld.is_gf2:
+        layers = _gf2_layers(by_degree, n_max, d)
+    elif fld.is_rational:
+        layers = _qq_layers(by_degree, n_max, d)
     else:
-        dims = _hilbert_generic(by_degree, n_max, d, fld)
-    return dims
+        layers = _modp_layers(by_degree, n_max, d, fld.char)
+    for n, (rank, basis) in enumerate(layers, start=1):
+        yield rank, basis
+        if rank == d ** n:
+            return
+
+
+def _gf2_layers(by_degree, n_max: int, d: int):
+    basis_rows: List[int] = []
+    for n in range(1, n_max + 1):
+        ncols = d ** n
+        require_capacity(ncols * (len(basis_rows) * d + 4) // 4,
+                         f"ideal layer in degree {n}")
+        rows: List[int] = []
+        block = d ** (n - 1)
+        for b in basis_rows:
+            for letter in range(d):
+                rows.append(b << (letter * block))
+        for m, fs in by_degree.items():
+            if m > n:
+                continue
+            shift = d ** (n - m)
+            for terms in fs:
+                spread = 0
+                for w, _ in terms:
+                    spread |= 1 << (w * shift)
+                for u in range(shift):
+                    rows.append(spread << u)
+        rank, basis_rows = _gf2_reduce_rows(rows, ncols)
+        yield rank, basis_rows
 
 
 def _gf2_reduce_rows(rows: List[int], ncols: int) -> Tuple[int, List[int]]:
@@ -296,33 +316,28 @@ def _gf2_reduce_rows(rows: List[int], ncols: int) -> Tuple[int, List[int]]:
     return rank, out
 
 
-def _hilbert_generic(by_degree: Dict[int, List[Element]], n_max: int, d: int,
-                     fld: Field) -> List[int]:
-    dims = [1]
-    if fld == QQ:
-        basis: List[Dict[int, Fraction]] = []
-        for n in range(1, n_max + 1):
-            sb = SparseBasis()
-            block = d ** (n - 1)
-            for row in basis:
-                for letter in range(d):
-                    off = letter * block
-                    sb.insert({c + off: v for c, v in row.items()})
-            for m, fs in by_degree.items():
-                if m > n:
-                    continue
-                shift = d ** (n - m)
-                for f in fs:
-                    base = {w * shift: c for (deg, w), c in f.coeffs.items()}
-                    for u in range(shift):
-                        sb.insert({c + u: v for c, v in base.items()})
-            basis = list(sb.rows.values())
-            dims.append(d ** n - sb.rank)
-            if dims[-1] == 0:
-                dims.extend([0] * (n_max - n))
-                break
-        return dims
-    p = fld.char
+def _qq_layers(by_degree, n_max: int, d: int):
+    basis: List[Dict[int, Fraction]] = []
+    for n in range(1, n_max + 1):
+        sb = SparseBasis()
+        block = d ** (n - 1)
+        for row in basis:
+            for letter in range(d):
+                off = letter * block
+                sb.insert({c + off: v for c, v in row.items()})
+        for m, fs in by_degree.items():
+            if m > n:
+                continue
+            shift = d ** (n - m)
+            for terms in fs:
+                base = {w * shift: c for w, c in terms}
+                for u in range(shift):
+                    sb.insert({c + u: v for c, v in base.items()})
+        basis = list(sb.rows.values())
+        yield sb.rank, sb
+
+
+def _modp_layers(by_degree, n_max: int, d: int, p: int):
     basis_mat = np.zeros((0, 1), dtype=np.int64)
     for n in range(1, n_max + 1):
         ncols = d ** n
@@ -339,30 +354,21 @@ def _hilbert_generic(by_degree: Dict[int, List[Element]], n_max: int, d: int,
             if m > n:
                 continue
             shift = d ** (n - m)
-            for f in fs:
-                cols = []
-                vals = []
-                for (deg, w), c in f.coeffs.items():
-                    cv = fld.coerce(c)
-                    if cv:
-                        cols.append(w * shift)
-                        vals.append(cv)
+            for terms in fs:
+                cols = [w * shift for w, _ in terms]
+                vals = [c for _, c in terms]
                 for u in range(shift):
                     row = np.zeros(ncols, dtype=np.int64)
                     row[[c + u for c in cols]] = vals
                     rows.append(row)
         if rows:
             mat = np.vstack(rows)
-            rank, _ = rref_modp(mat, p)
+            rank, pivots = rref_modp(mat, p)
             basis_mat = mat[:rank]
         else:
-            rank = 0
+            rank, pivots = 0, []
             basis_mat = np.zeros((0, ncols), dtype=np.int64)
-        dims.append(ncols - rank)
-        if dims[-1] == 0:
-            dims.extend([0] * (n_max - n))
-            break
-    return dims
+        yield rank, (basis_mat, pivots)
 
 
 # ---------------------------------------------------------------------

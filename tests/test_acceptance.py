@@ -26,6 +26,8 @@ from gsalg.series import (DegreeProfile, certify_infinite, gs_check,
                           gs_min_series, hilbert_quotient)
 from gsalg.words import num_words
 
+import ideal_oracle
+
 MASTER_SEED = 20260814
 
 
@@ -202,9 +204,12 @@ def test_criterion_10_cross_module_consistency():
     for rels in homogeneous_presentations():
         ideal = truncated_ideal_basis(rels, D=10, fld=GF2)
         graded = hilbert_quotient(rels, 10, d=2, fld=GF2)
-        if list(ideal.quotient_dims) == graded[1:]:
+        # both builders share the layer recursion; the u*f*v enumeration
+        # is the independent construction
+        oracle = ideal_oracle.span_dims(rels, 2, 10, GF2)
+        if list(ideal.quotient_dims) == graded[1:] and list(ideal.span_dims) == oracle:
             agreed += 1
-    finish(10, f"quotient dims match graded series, {agreed}/100",
+    finish(10, f"quotient dims match graded series and the u*f*v oracle, {agreed}/100",
            agreed == 100, t0)
 
 

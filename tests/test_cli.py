@@ -176,6 +176,13 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "column" in err
 
 
+def test_negative_max_degree_exit_code(capsys):
+    code, out, err = run(capsys, "hilbert", "--max-degree", "-3", "--json")
+    assert code == 2
+    assert out == ""
+    assert "max degree must be non-negative, got -3" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "hilbert", "--relations", "/nonexistent/nope.txt", "--json")
     assert code == 2 and err

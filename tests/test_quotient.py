@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from gsalg.elements import Element
-from gsalg.fields import GF2, GF3, QQ
+from gsalg.fields import GF2, GF3, QQ, Field
 from gsalg.parser import parse_expression
 from gsalg.quotient import (QuotientError, audit_soundness,
                             certify_finite_dimensional, commutative_construction,
@@ -11,6 +12,8 @@ from gsalg.quotient import (QuotientError, audit_soundness,
                             relation_threshold, sample_presentation,
                             truncated_ideal_basis)
 from gsalg.series import hilbert_quotient
+
+import ideal_oracle
 
 COMM = parse_expression("x*y - y*x")
 XX = parse_expression("x*x")
@@ -82,12 +85,51 @@ def test_modular_spans_never_exceed_rational_spans():
 
 
 def test_quotient_dims_match_graded_series_when_homogeneous():
+    # both builders share the layer recursion; the u*f*v oracle is the
+    # independent construction
     cases = [[COMM], [XX, YY], [COMM, XX, YY], [parse_expression("y*x")]]
     for rels in cases:
         for fld in (GF2, GF3):
             ideal = truncated_ideal_basis(rels, D=6, fld=fld)
             graded = hilbert_quotient(rels, 6, d=2, fld=fld)
             assert list(ideal.quotient_dims) == graded[1:]
+            assert list(ideal.span_dims) == ideal_oracle.span_dims(rels, 2, 6, fld)
+
+
+def _homogeneous_sample(rng, n, degrees):
+    rels = []
+    for deg in degrees:
+        coeffs = {}
+        while not coeffs:
+            coeffs = {(deg, w): Fraction(rng.choice((-1, 1, 2)))
+                      for w in range(n ** deg) if rng.random() < 0.4}
+        rels.append(Element(n, coeffs))
+    return rels
+
+
+def test_homogeneous_layers_and_membership_match_ufv_oracle():
+    rng = random.Random(11)
+    cases = [(2, 5, [COMM]), (2, 5, [COMM, XX, YY]),
+             (2, 5, [parse_expression("2*x*y - y*x"), parse_expression("x*y*x - 3*y*y*y")]),
+             (2, 5, _homogeneous_sample(rng, 2, [2, 3])),
+             (2, 5, _homogeneous_sample(rng, 2, [3, 3, 4])),
+             (3, 4, commutative_construction(3)[:2]),
+             (3, 4, _homogeneous_sample(rng, 3, [2, 3]))]
+    outcomes = set()
+    for n, D, rels in cases:
+        for fld in (GF2, GF3, QQ):
+            ideal = truncated_ideal_basis(rels, n=n, D=D, fld=fld)
+            assert list(ideal.span_dims) == ideal_oracle.span_dims(rels, n, D, fld)
+            for j in range(2, D + 1):
+                rows = ideal_oracle.ufv_rows(rels, n, j, fld)
+                vecs = [ideal_oracle.random_member(rows, rng, fld) for _ in range(3)]
+                vecs += [ideal_oracle.random_vector(n ** j, rng, fld) for _ in range(3)]
+                for vec in vecs:
+                    expected = ideal_oracle.in_span(rows, vec, fld)
+                    got = ideal.contains(ideal_oracle.as_element(vec, n, j))
+                    assert got == expected, (rels, fld, j)
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_input_validation():
@@ -101,6 +143,11 @@ def test_input_validation():
         truncated_ideal_basis([COMM], D=1)
     with pytest.raises(QuotientError):
         truncated_ideal_basis([COMM], D=11)         # over the 2-generator cap
+    # float64 mod-p reduction is exact only below 2**15, homogeneous or not
+    for rels in ([COMM], [parse_expression("x*x + x*x*x")]):
+        with pytest.raises(QuotientError):
+            truncated_ideal_basis(rels, D=4, fld=Field(32771))
+    assert truncated_ideal_basis([COMM], D=4, fld=Field(32749)).span_dims == (0, 1, 4, 11)
     # explicit cap override allows it in principle
     assert default_precision_cap(2) == 10
     assert [default_precision_cap(n) for n in (3, 4, 5)] == [8, 6, 5]
