@@ -56,11 +56,12 @@ def _load_relations(path: str, d: int) -> List[Element]:
 
 def _load_degree_profile(path: str) -> DegreeProfile:
     """Profile file {"d": 2, "degree_counts": {"3": 1}}."""
-    data = json.loads(_read_text(path))
+    text = _read_text(path)
     try:
+        data = json.loads(text)
         d = int(data["d"])
         counts = {int(k): int(v) for k, v in data.get("degree_counts", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"bad degree profile in {path}: {exc}") from exc
     return DegreeProfile.make(d, counts)
 
@@ -75,17 +76,24 @@ def _load_dyadic_profile(args) -> DyadicProfile:
         degrees = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
         return dyadic_profile(degrees)
     if getattr(args, "profile", None):
-        return DyadicProfile.from_json(json.loads(_read_text(args.profile)))
+        text = _read_text(args.profile)
+        try:
+            return DyadicProfile.from_json(json.loads(text))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"bad dyadic profile in {args.profile}: {exc}") from exc
     raise ValueError("need --profile FILE or --degrees LIST")
 
 
 def _parse_count(text: str) -> int:
-    """Plain integer or '2^k' shorthand for sizes like 2^40."""
-    text = text.strip()
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
-    return int(text)
+    """Plain integer or 'B^K' shorthand for sizes like 2^40; at least 1."""
+    base, hat, exp = text.strip().partition("^")
+    try:
+        b, k = int(base), int(exp) if hat else 1
+    except ValueError as exc:
+        raise ValueError(f"--at needs an integer or B^K, got {text!r}") from exc
+    if k < 0 or b ** k < 1:
+        raise ValueError(f"--at needs a degree of at least 1, got {text!r}")
+    return b ** k
 
 
 def _frac(x: Fraction) -> str:

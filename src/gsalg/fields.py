@@ -137,5 +137,8 @@ def field_by_name(name: str) -> Field:
     if name == "gf2":
         return GF2
     if name.startswith("gfp:"):
-        return Field(int(name[4:]))
+        p = int(name[4:])
+        if p < 2:
+            raise FieldError(f"gfp:P needs a prime P, got {p}")
+        return Field(p)
     raise FieldError(f"unknown field {name!r} (expected gf2, gfp:P, or q)")

@@ -16,8 +16,8 @@ Four implementations, picked by field and problem size:
 Homogeneous ideal layers, for both Hilbert series and truncated ideals,
 come from one builder, :func:`gsalg.series.ideal_layers`: it reduces each
 layer with ``rref_gf2`` over GF(2), ``rref_modp`` over GF(p) and
-``SparseBasis`` over QQ.  Mixed-degree truncated ideals over GF(p), GF(2)
-included, still use the float64 block engine in :mod:`gsalg.quotient`.
+``SparseBasis`` over QQ.  Mixed-degree truncated ideals (:mod:`gsalg.quotient`)
+use ``BitBasis``, ``SparseBasis``, and the float64 engine there for p >= 3.
 """
 
 from __future__ import annotations

@@ -17,13 +17,11 @@ this module reduces to row echelon computations over that span:
 
 Homogeneous relation sets are built one degree at a time by
 :func:`gsalg.series.ideal_layers`, the layer recursion behind
-``hilbert_quotient``, and each reduced layer serves as that degree's
-membership block: a ``BitBasis`` over GF(2) (rows from ``rref_gf2``), the
-``rref_modp`` rows checked with the float64 ``_mod_reduce`` residue over
-GF(p), a ``SparseBasis`` over QQ.  Mixed-degree relation sets enumerate
-every trunc_D(u * f * v) into one basis over all degrees <= D: a
-``SparseBasis`` over QQ and the float64 mod-p engine below for every prime,
-GF(2) included.  The float64 arithmetic is exact only for p < 2**15.
+``hilbert_quotient``.  Mixed-degree sets get the same letter recursion on the
+precision: the span at precision j is x * (span at j - 1), over letters x,
+plus the rows trunc_j(f * v), in one basis over all degrees <= j.  Either way
+a ``BitBasis`` serves GF(2), a ``SparseBasis`` QQ, and the float64 mod-p
+engine below GF(p), p >= 3; its arithmetic is exact only for p < 2**15.
 
 A certificate k means F^k is contained in I + F^{D+1}.  Substituting the
 inclusion into itself bounds F^k inside I + F^N for every N, so in the
@@ -178,10 +176,12 @@ def _rref_block(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
 
 
 class _GFpBasis:
-    """Incremental reduced row echelon basis over GF(p), dense rows."""
+    """Incremental reduced row echelon basis over GF(p), dense rows in any order.
+
+    ``piv[i]`` is the pivot column of ``rows[i]``.
+    """
 
     def __init__(self, p: int, ncols: int):
-        require_capacity(2 * ncols * ncols + 16 * ncols, "truncated ideal basis")
         self.p = p
         self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=np.int16)
@@ -199,68 +199,32 @@ class _GFpBasis:
         new, npiv = _rref_block(mat, self.p)
         if not npiv:
             return
-        if self.piv:
-            old = _mod_reduce(self.rows.astype(np.int64), new, npiv, self.p)
-        else:
-            old = self.rows.astype(np.int64)
-        rows = np.concatenate([old, new])
-        pivs = self.piv + npiv
-        order = np.argsort(pivs, kind="stable")
-        self.rows = rows[order].astype(np.int16)
-        self.piv = sorted(pivs)
-
-    def residue(self, vec: np.ndarray) -> np.ndarray:
-        out = _mod_reduce(vec.reshape(1, -1).astype(np.int64), self.rows, self.piv, self.p)
-        return out[0]
+        old = _mod_reduce(self.rows.astype(np.int64), new, npiv, self.p)
+        self.rows = np.concatenate([old, new]).astype(np.int16)
+        self.piv = self.piv + npiv
 
     def contains(self, vec: np.ndarray) -> bool:
-        return not self.residue(vec).any()
+        return not _mod_reduce(vec.reshape(1, -1), self.rows, self.piv, self.p).any()
 
     def pivots(self) -> List[int]:
-        return list(self.piv)
+        return sorted(self.piv)
 
 
 # ---------------------------------------------------------------------------
 # span construction
 # ---------------------------------------------------------------------------
 
-def _element_terms(f: Element, fld: Field):
-    """Relation as a list of (degree, word index, field coefficient)."""
-    out = []
-    for (k, idx), c in sorted(f.coeffs.items()):
-        out.append((k, idx, fld.coerce(c)))
-    return out
+def _relation_rows(terms, n: int, j: int, offsets: List[int]):
+    """Rows {column: coefficient} of trunc_j(f v), deg v <= j - 2, for each relation f.
 
-
-def _dense_batch(terms, n: int, su: int, sv: int, D: int,
-                 offsets: List[int], ncols: int, p: int) -> Optional[np.ndarray]:
-    """All rows trunc_D(u f v) with deg u = su, deg v = sv, as a matrix mod p."""
-    m = n ** su * n ** sv
-    cols_used = False
-    mat = np.zeros((m, ncols), dtype=np.int64)
-    iu = np.repeat(np.arange(n ** su), n ** sv)
-    iv = np.tile(np.arange(n ** sv), n ** su)
-    rng = np.arange(m)
-    for k, idx, c in terms:
-        tot = su + k + sv
-        if tot > D:
-            continue
-        cols = (iu * n ** k + idx) * n ** sv + iv + offsets[tot]
-        mat[rng, cols] = (mat[rng, cols] + int(c)) % p
-        cols_used = True
-    return mat if cols_used else None
-
-
-def _sparse_vec(terms, n: int, su: int, iu: int, sv: int, iv: int, D: int,
-                offsets: List[int]) -> Dict[int, Fraction]:
-    vec: Dict[int, Fraction] = {}
-    for k, idx, c in terms:
-        tot = su + k + sv
-        if tot > D:
-            continue
-        col = (iu * n ** k + idx) * n ** sv + iv + offsets[tot]
-        vec[col] = vec.get(col, Fraction(0)) + c
-    return {c: v for c, v in vec.items() if v}
+    ``terms`` lists each relation's (degree, word index, coefficient); the
+    word w times the iv-th word of degree sv is word w * n**sv + iv.
+    """
+    for tl in terms:
+        for sv in range(j - 1):
+            base = {offsets[k + sv] + w * n ** sv: c for k, w, c in tl if k + sv <= j and c}
+            for iv in range(n ** sv if base else 0):
+                yield {c + iv: v for c, v in base.items()}
 
 
 _FULL = "full"
@@ -305,53 +269,34 @@ class TruncatedIdeal:
         if f.min_degree() < 2:
             return False
         if self.homogeneous:
-            return all(self._block_contains(j, comp)
+            return all(j >= 2 and (self._blocks[j] is _FULL
+                                   or self._in_span(self._blocks[j], comp, self.n ** j))
                        for j, comp in f.components().items())
-        vec = self._vector(f, mixed=True)
-        if self.field.is_rational:
-            return self._mixed.contains(vec)
-        return self._mixed.contains(self._dense_vector(vec))
+        return self._in_span(self._mixed, f, self._offsets[self.precision + 1], self._offsets)
 
     def certificate_degree(self) -> Optional[int]:
         """Least k with every monomial of each degree in [k, precision] in the span."""
-        full = [self.span_dims[j - 1] == self.n ** j
-                for j in range(1, self.precision + 1)]
         k = None
         for j in range(self.precision, 0, -1):
-            if full[j - 1]:
-                k = j
-            else:
+            if self.span_dims[j - 1] != self.n ** j:
                 break
+            k = j
         return k
 
     # -- internals ---------------------------------------------------
 
-    def _block_contains(self, j: int, comp: Element) -> bool:
-        if j < 2:
-            return False
-        block = self._blocks[j]
-        if block is _FULL:
-            return True
-        vec = self._vector(comp, mixed=False)
+    def _in_span(self, basis, f: Element, ncols: int,
+                 offsets: Optional[List[int]] = None) -> bool:
+        """Membership in one basis; columns are word indices, plus offsets[degree] if given."""
+        vec = {(offsets[k] if offsets else 0) + idx: self.field.coerce(c)
+               for (k, idx), c in f.coeffs.items()}
         if self.field.is_rational:
-            return block.contains(vec)
+            return basis.contains(vec)
         if self.field.is_gf2:
-            return block.contains(sum(1 << col for col, c in vec.items() if c))
-        return block.contains(self._dense_vector(vec, ncols=self.n ** j))
-
-    def _vector(self, f: Element, mixed: bool) -> Dict[int, Fraction]:
-        vec: Dict[int, Fraction] = {}
-        for (k, idx), c in f.coeffs.items():
-            col = self._offsets[k] + idx if mixed else idx
-            vec[col] = self.field.coerce(c)
-        return vec
-
-    def _dense_vector(self, vec: Dict[int, Fraction], ncols: Optional[int] = None) -> np.ndarray:
-        out = np.zeros(ncols if ncols is not None else self._offsets[self.precision + 1],
-                       dtype=np.int64)
-        for col, c in vec.items():
-            out[col] = int(c) % self.field.char
-        return out
+            return basis.contains(sum(1 << col for col, c in vec.items() if c))
+        dense = np.zeros(ncols, dtype=np.int64)
+        dense[list(vec)] = list(vec.values())
+        return basis.contains(dense)
 
     def to_json(self) -> dict:
         return {
@@ -386,17 +331,20 @@ def truncated_ideal_basis(relations: Sequence[Element], n: Optional[int] = None,
             blocks[j] = _FULL
             dims.append(n ** j)
         return TruncatedIdeal(n, D, fld, True, tuple(dims), blocks, None, None)
-    terms = [(_element_terms(f, fld), f.min_degree(), f.degree()) for f in relations]
     offsets = [0] * (D + 2)
     for j in range(1, D + 1):
         offsets[j + 1] = offsets[j] + n ** j
-    basis = _build_mixed(terms, n, D, fld, offsets)
-    pivot_cols = basis.pivots()
+    basis = _build_mixed(relations, n, D, fld, offsets)
     dims = [0] * D
-    for col in pivot_cols:
-        j = bisect.bisect_right(offsets, col, lo=1) - 1
-        dims[j - 1] += 1
+    for col in basis.pivots():
+        dims[bisect.bisect_right(offsets, col, lo=1) - 2] += 1
     return TruncatedIdeal(n, D, fld, False, tuple(dims), None, basis, offsets)
+
+
+def _require_basis_capacity(fld: Field, ncols: int) -> None:
+    """Guard a basis of up to ncols rows: Python ints over GF(2), float64 work over GF(p)."""
+    nbytes = ncols * (ncols // 4 + 128) if fld.is_gf2 else 2 * ncols * ncols + 16 * ncols
+    require_capacity(nbytes, "truncated ideal basis")
 
 
 def _layer_block(layer, fld: Field, ncols: int):
@@ -405,41 +353,81 @@ def _layer_block(layer, fld: Field, ncols: int):
         return layer
     if fld.is_gf2:
         return BitBasis({row & -row: row for row in layer})
+    _require_basis_capacity(fld, ncols)
     rows, pivots = layer
     block = _GFpBasis(fld.char, ncols)
     block.rows, block.piv = rows.astype(np.int16), pivots
     return block
 
 
-def _build_mixed(terms, n: int, D: int, fld: Field, offsets: List[int]):
-    ncols = offsets[D + 1]
-    max_rank = ncols - n
+def _build_mixed(relations: Sequence[Element], n: int, D: int, fld: Field,
+                 offsets: List[int]):
+    """Echelonize W_D = span{trunc_D(u f v)} by recursion on the precision.
+
+    W_j = sum_x x * W_{j-1} + span{trunc_j(f v) : deg v <= j - 2} is exact
+    because x * trunc_{j-1}(g) = trunc_j(x g).  The letter copies of the
+    reduced W_{j-1} are already reduced (see :func:`_letter_cols`), so each
+    level seeds its basis with them and eliminates only the relation rows.
+    """
+    if not fld.is_rational:
+        _require_basis_capacity(fld, offsets[D + 1])   # the top level is the largest
+    terms = [[(k, w, fld.coerce(c)) for (k, w), c in f.coeffs.items()] for f in relations]
     if fld.is_rational:
-        basis = SparseBasis()
-        for tl, lo, hi in terms:
-            for su in range(D - 1):
-                for sv in range(D - 1 - su):
-                    if su + sv + lo > D:
-                        continue
-                    for iu in range(n ** su):
-                        for iv in range(n ** sv):
-                            vec = _sparse_vec(tl, n, su, iu, sv, iv, D, offsets)
-                            if vec:
-                                basis.insert(vec)
-                if basis.rank == max_rank:
-                    return basis
-        return basis
-    basis = _GFpBasis(fld.char, ncols)
-    for tl, lo, hi in terms:
-        for su in range(D - 1):
-            for sv in range(D - 1 - su):
-                if su + sv + lo > D:
-                    continue
-                batch = _dense_batch(tl, n, su, sv, D, offsets, ncols, fld.char)
-                if batch is not None:
-                    basis.insert_block(batch)
-            if basis.rank == max_rank:
-                return basis
+        basis, level = SparseBasis(), _qq_level
+    elif fld.is_gf2:
+        basis, level = BitBasis(), _gf2_level
+    else:
+        basis, level = _GFpBasis(fld.char, n), _modp_level
+    for j in range(2, D + 1):
+        basis = level(basis, _relation_rows(terms, n, j, offsets), n, j, offsets)
+    return basis
+
+
+def _letter_cols(n: int, j: int, offsets: List[int]) -> List[List[int]]:
+    """Column maps g -> x g from precision j - 1 to j, one per letter x.
+
+    x sends column offsets[k] + w, the degree-k word w, (x + 1) * n**k to the
+    right.  Each map keeps the column order, hence pivots, and letters land apart.
+    """
+    step = np.concatenate([np.full(n ** k, n ** k) for k in range(1, j)])
+    cols = np.arange(offsets[j])
+    return [(cols + (x + 1) * step).tolist() for x in range(n)]
+
+
+def _qq_level(prev: SparseBasis, rows, n: int, j: int, offsets: List[int]) -> SparseBasis:
+    basis = SparseBasis()
+    for dest in _letter_cols(n, j, offsets):
+        for piv, row in prev.rows.items():
+            basis.rows[dest[piv]] = {dest[c]: v for c, v in row.items()}
+    for row in rows:
+        basis.insert(row)
+    return basis
+
+
+def _gf2_level(prev: BitBasis, rows, n: int, j: int, offsets: List[int]) -> BitBasis:
+    basis = BitBasis()
+    for row in prev.rows.values():
+        blocks = [(row >> offsets[k]) & ((1 << n ** k) - 1) for k in range(1, j)]
+        for x in range(n):
+            copy = sum(b << (offsets[k] + (x + 1) * n ** k) for k, b in enumerate(blocks, 1))
+            basis.rows[copy & -copy] = copy
+    for row in rows:
+        basis.insert(sum(1 << c for c in row))
+    return basis
+
+
+def _modp_level(prev: _GFpBasis, rows, n: int, j: int, offsets: List[int]) -> _GFpBasis:
+    basis = _GFpBasis(prev.p, offsets[j + 1])
+    dests = _letter_cols(n, j, offsets)
+    basis.rows = np.zeros((n * prev.rank, basis.ncols), dtype=np.int16)
+    for x, dest in enumerate(dests):
+        basis.rows[x * prev.rank:(x + 1) * prev.rank, dest] = prev.rows
+    basis.piv = [dest[c] for dest in dests for c in prev.piv]
+    rows = list(rows)
+    mat = np.zeros((len(rows), basis.ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        mat[i, list(row)] = list(row.values())
+    basis.insert_block(mat)
     return basis
 
 

@@ -1,9 +1,11 @@
-"""Independent oracle for the layers of a homogeneous relation ideal.
+"""Independent oracle for truncated relation ideals.
 
-The library builds the degree-j layer recursively, as
-letter * layer(j-1) + f * A(j - deg f).  This module enumerates the defining
-spanning set {u * f * v : deg u + deg v = j - deg f} directly and ranks it,
-so tests compare two different constructions of the same space.
+The library builds the degree-j layer of a homogeneous ideal recursively, as
+letter * layer(j-1) + f * A(j - deg f), and the mixed-degree span
+W_D = span{trunc_D(u f v)} by recursion on the precision, as
+letter * W_(D-1) + trunc_D(f * v).  This module enumerates the defining
+spanning sets {u * f * v} directly and ranks them, so tests compare two
+different constructions of the same space.
 """
 
 from fractions import Fraction
@@ -58,9 +60,11 @@ def span_dims(relations, n, D, fld):
     return [rank(ufv_rows(relations, n, j, fld), fld) for j in range(1, D + 1)]
 
 
-def in_span(mat, vec, fld):
-    """True when vec is a combination of the rows of mat."""
-    return rank(np.vstack([mat, vec[None, :]]), fld) == rank(mat, fld)
+def in_span(mat, vec, fld, mat_rank=None):
+    """True when vec is a combination of the rows of mat (of rank mat_rank, if known)."""
+    if mat_rank is None:
+        mat_rank = rank(mat, fld)
+    return rank(np.vstack([mat, vec[None, :]]), fld) == mat_rank
 
 
 def random_member(mat, rng, fld):
@@ -84,3 +88,72 @@ def as_element(vec, n, j):
     """The degree-j element whose coefficient on word w is vec[w]."""
     return Element(n, {(j, w): c if isinstance(c, Fraction) else Fraction(int(c))
                        for w, c in enumerate(vec) if c})
+
+
+# -- mixed degrees: all columns of degree 1..D, truncated at D ---------------
+
+def degree_offsets(n, D):
+    """offsets[k] is the first column of degree k; offsets[D + 1] the width."""
+    offsets = [0, 0]
+    for k in range(1, D + 1):
+        offsets.append(offsets[-1] + n ** k)
+    return offsets
+
+
+def mixed_ufv_rows(relations, n, D, fld):
+    """Every trunc_D(u*f*v) with deg u + deg v <= D - 2, one row each.
+
+    The coefficient of the degree-k word w sits in column offsets[k] + w.
+    """
+    offsets = degree_offsets(n, D)
+    ncols = offsets[D + 1]
+    dtype = object if fld.is_rational else np.int64
+    blocks = [np.zeros((0, ncols), dtype=dtype)]
+    for f in relations:
+        terms = [(k, w, fld.coerce(c)) for (k, w), c in f.coeffs.items()]
+        for su in range(D - 1):
+            for sv in range(D - 1 - su):
+                iu = np.repeat(np.arange(n ** su), n ** sv)
+                iv = np.tile(np.arange(n ** sv), n ** su)
+                block = np.zeros((n ** (su + sv), ncols), dtype=dtype)
+                rows = np.arange(n ** (su + sv))
+                for k, w, c in terms:
+                    if su + k + sv <= D:
+                        block[rows, offsets[su + k + sv] + (iu * n ** k + w) * n ** sv + iv] = c
+                blocks.append(block)
+    return np.vstack(blocks)
+
+
+def mixed_span_dims(mat, n, D, fld):
+    """Leading-term count of the row space in each degree 1..D.
+
+    The rows whose lowest term has degree >= k span the kernel of the
+    projection onto the columns of degree < k, so their number is
+    rank(mat) - rank(mat restricted to those columns).
+    """
+    offsets = degree_offsets(n, D)
+    total = rank(mat, fld)
+    at_least = [total - (rank(mat[:, :offsets[k]], fld) if offsets[k] else 0)
+                for k in range(1, D + 1)] + [0]
+    return [at_least[k] - at_least[k + 1] for k in range(D)]
+
+
+def certificate_degree(dims, n):
+    """Least k with degrees k..D all full, or None."""
+    k = None
+    for j in range(len(dims), 0, -1):
+        if dims[j - 1] != n ** j:
+            break
+        k = j
+    return k
+
+
+def as_mixed_element(vec, n, D):
+    """The element whose coefficient on the degree-k word w is vec[offsets[k] + w]."""
+    offsets = degree_offsets(n, D)
+    coeffs = {}
+    for k in range(1, D + 1):
+        for w, c in enumerate(vec[offsets[k]:offsets[k + 1]]):
+            if c:
+                coeffs[(k, w)] = c if isinstance(c, Fraction) else Fraction(int(c))
+    return Element(n, coeffs)

@@ -192,3 +192,52 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--json"])        # --at is required
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["hilbert", "quotient"])
+def test_gfp_zero_is_not_a_field(capsys, comm2, command):
+    # gfp:0 used to build the rationals and exit 0
+    code, out, err = run(capsys, command, "--relations", comm2, "--field", "gfp:0",
+                         "--json")
+    assert code == 2
+    assert out == ""
+    assert "gfp:P needs a prime P, got 0" in err
+
+
+@pytest.mark.parametrize("at", ["2^-3", "0", "-4", "two"])
+def test_bounds_rejects_degrees_below_one(capsys, tmp_path, at):
+    f = tmp_path / "prof.json"
+    f.write_text(json.dumps({"levels": [{"n": 8, "r": "65536"}]}))
+    code, out, err = run(capsys, "bounds", "--profile", str(f), "--at", at, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--at" in err and repr(at) in err
+
+
+@pytest.mark.parametrize("command", ["schedule", "bounds"])
+@pytest.mark.parametrize("content, message", [
+    (json.dumps({"levels": [{"n": 8}]}), "bad dyadic profile"),
+    (json.dumps([{"n": 8, "r": 1}]), "bad dyadic profile"),
+    ('{"levels": [', "bad dyadic profile"),
+])
+def test_malformed_dyadic_profile_exit_code(capsys, tmp_path, command, content, message):
+    f = tmp_path / "prof.json"
+    f.write_text(content)
+    extra = ["--at", "8"] if command == "bounds" else []
+    code, out, err = run(capsys, command, "--profile", str(f), *extra, "--json")
+    assert code == 2
+    assert out == ""
+    assert message in err and str(f) in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"d": 2, "degree_counts": [3]}', "bad degree profile"),
+    ('{"d": 2,', "bad degree profile"),
+])
+def test_malformed_degree_profile_exit_code(capsys, tmp_path, content, message):
+    f = tmp_path / "p.json"
+    f.write_text(content)
+    code, out, err = run(capsys, "certify", "--profile", str(f), "--json")
+    assert code == 2
+    assert out == ""
+    assert message in err and str(f) in err

@@ -132,6 +132,44 @@ def test_homogeneous_layers_and_membership_match_ufv_oracle():
     assert outcomes == {True, False}
 
 
+def test_mixed_ideals_match_ufv_oracle():
+    # the library recurses on the precision; the oracle ranks every
+    # trunc_D(u*f*v) at once and reads leading terms off column prefixes
+    rng = random.Random(5)
+    tails = [parse_expression("x*x + x*x*x"),
+             parse_expression("x*y - y*x + y*y*y*y"),
+             parse_expression("x*x - 2*x*y*x + y*x*y*y")]
+    cases = [(2, 2, tails[:1]), (2, 4, tails[1:]), (2, 7, tails)]
+    cases += [(2, D, sample_presentation(rng, n=2, count=rng.randint(1, 2), max_degree=4))
+              for D in (3, 5, 6, 7)]
+    cases += [(3, 4, sample_presentation(rng, n=3, count=count, max_degree=4))
+              for count in (1, 2)]
+    outcomes = set()
+    for n, D, rels in cases:
+        for fld in (GF2, GF3, QQ):
+            ideal = truncated_ideal_basis(rels, n=n, D=D, fld=fld)
+            rows = ideal_oracle.mixed_ufv_rows(rels, n, D, fld)
+            dims = ideal_oracle.mixed_span_dims(rows, n, D, fld)
+            assert list(ideal.span_dims) == dims, (rels, fld, D)
+            assert ideal.certificate_degree() == ideal_oracle.certificate_degree(dims, n)
+            members = [ideal_oracle.random_member(rows, rng, fld) for _ in range(3)]
+            others = [ideal_oracle.random_vector(rows.shape[1], rng, fld) for _ in range(3)]
+            near = members[1].copy()
+            near[rng.randrange(n, rows.shape[1])] += 1      # one monomial off a member
+            others += [members[0] + others[0], near]
+            if not fld.is_rational:
+                others = [vec % fld.char for vec in others]
+            full = ideal_oracle.rank(rows, fld)
+            for vec in members + others:
+                vec[:n] = 0                 # degree-1 terms are never in the ideal
+            for vec, expected in [(v, True) for v in members] + [
+                    (v, ideal_oracle.in_span(rows, v, fld, full)) for v in others]:
+                got = ideal.contains(ideal_oracle.as_mixed_element(vec, n, D))
+                assert got == expected, (rels, fld, D)
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_input_validation():
     with pytest.raises(QuotientError):
         truncated_ideal_basis([], D=4)              # needs explicit n
