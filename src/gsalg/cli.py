@@ -209,7 +209,7 @@ def cmd_ladder(args) -> int:
     pipeline = []
     ok = all(verify.values())
     for k in range(1, args.e_max_degree + 1):
-        n = k.bit_length()
+        n = (k + 1).bit_length()   # E(k + 1), which e_sets_consistent needs, sits highest
         if n > lad.top or (1 << (n + 1)) > lad.degree_cap:
             continue
         e_space = compute_E(lad, k)

@@ -344,25 +344,19 @@ class BinaryDecomposition:
 def _mono_chain(lad: Ladder, powers: List[int], k: int) -> Tuple[frozenset, frozenset]:
     """(V-set, U-set) for the factor order given by ``powers``.
 
-    A word belongs to V iff every aligned factor lies in its level's W
-    set, and to U iff some factor escapes; that matches the spanning
-    definitions sum_i A...U(2^{p_i})...A exactly.
+    V is the concatenation product W(2^{p_1}) ... W(2^{p_r}) of the level
+    W-sets, first factor leftmost; U is its complement, the words with
+    some aligned factor outside its level's W-set.  That matches the
+    spanning definitions sum_i A...U(2^{p_i})...A exactly.
     """
     require_capacity((1 << k) * 64, f"decomposition sets at degree {k}")
-    w_sets = [lad.w_set(p) for p in powers]
-    degs = [1 << p for p in powers]
-    v_words = []
-    u_words = []
-    for w in range(1 << k):
-        rest = w
-        ok = True
-        for deg, ws in zip(reversed(degs), reversed(w_sets)):
-            if (rest & ((1 << deg) - 1)) not in ws:
-                ok = False
-                break
-            rest >>= deg
-        (v_words if ok else u_words).append(w)
-    return frozenset(v_words), frozenset(u_words)
+    v = {0}
+    for p in powers:
+        deg = 1 << p
+        # an unverified ladder may list words outside A(2^p); no factor is one
+        w = [b for b in lad.w_set(p) if b >> deg == 0]
+        v = {a << deg | b for a in v for b in w}
+    return frozenset(v), frozenset(range(1 << k)) - v
 
 
 def _general_chain(lad: Ladder, powers: List[int], k: int) -> Tuple[Subspace, Subspace]:

@@ -341,9 +341,19 @@ def truncated_ideal_basis(relations: Sequence[Element], n: Optional[int] = None,
     return TruncatedIdeal(n, D, fld, False, tuple(dims), None, basis, offsets)
 
 
-def _require_basis_capacity(fld: Field, ncols: int) -> None:
-    """Guard a basis of up to ncols rows: Python ints over GF(2), float64 work over GF(p)."""
-    nbytes = ncols * (ncols // 4 + 128) if fld.is_gf2 else 2 * ncols * ncols + 16 * ncols
+def _require_mixed_capacity(fld: Field, n: int, D: int, count: int,
+                            offsets: List[int]) -> None:
+    """Guard a mixed build by its top level, the largest: ncols-bit ints over
+    GF(2); over GF(p), ``_mod_reduce`` holds about five 8-byte copies of the
+    relation rows trunc_D(f v), then of the n letter copies of W_{D-1}, whose
+    rank is at most its width and its number of generators trunc(u f v)."""
+    ncols = offsets[D + 1]
+    if fld.is_gf2:
+        nbytes = ncols * (ncols // 4 + 128)
+    else:
+        rel_rows = count * (1 + offsets[D - 1])
+        gens = count * sum((s + 1) * n ** s for s in range(D - 2))
+        nbytes = 40 * ncols * (rel_rows + n * min(offsets[D] - n, gens))
     require_capacity(nbytes, "truncated ideal basis")
 
 
@@ -353,7 +363,7 @@ def _layer_block(layer, fld: Field, ncols: int):
         return layer
     if fld.is_gf2:
         return BitBasis({row & -row: row for row in layer})
-    _require_basis_capacity(fld, ncols)
+    require_capacity(2 * ncols * ncols + 16 * ncols, "truncated ideal basis")
     rows, pivots = layer
     block = _GFpBasis(fld.char, ncols)
     block.rows, block.piv = rows.astype(np.int16), pivots
@@ -370,7 +380,7 @@ def _build_mixed(relations: Sequence[Element], n: int, D: int, fld: Field,
     level seeds its basis with them and eliminates only the relation rows.
     """
     if not fld.is_rational:
-        _require_basis_capacity(fld, offsets[D + 1])   # the top level is the largest
+        _require_mixed_capacity(fld, n, D, len(relations), offsets)
     terms = [[(k, w, fld.coerce(c)) for (k, w), c in f.coeffs.items()] for f in relations]
     if fld.is_rational:
         basis, level = SparseBasis(), _qq_level

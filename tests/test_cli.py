@@ -116,6 +116,19 @@ def test_ladder_report(capsys):
     assert rep["witness"]["independent"] is True
 
 
+@pytest.mark.parametrize("argv, degrees", [
+    (["--top", "1"], []),
+    (["--top", "2"], [1, 2]),
+    (["--top", "3", "--e-max-degree", "7"], [1, 2, 3, 4, 5, 6]),
+    (["--top", "4", "--e-max-degree", "7"], [1, 2, 3, 4, 5, 6]),
+])
+def test_ladder_skips_degrees_whose_e_spaces_are_out_of_reach(capsys, argv, degrees):
+    # e_sets_consistent needs E(k + 1) as well as E(k)
+    code, data = run_json(capsys, "ladder", *argv, "--json")
+    assert code == 0
+    assert [e["k"] for e in data["report"]["e_pipeline"]] == degrees
+
+
 def test_schedule_from_degrees(capsys):
     code, data = run_json(capsys, "schedule", "--degrees", "300,300,300", "--json")
     assert code == 1      # window 8 cannot carry these counts

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from gsalg.elements import Element
-from gsalg.ladder import (Ladder, LadderError, absorption_check, build_ladder,
-                          compute_E, cover_bound_check, decompose_binary,
-                          e_sets_consistent, ladder_from_levels,
+from gsalg.ladder import (Ladder, LadderError, _general_chain, absorption_check,
+                          build_ladder, compute_E, cover_bound_check,
+                          decompose_binary, e_sets_consistent, ladder_from_levels,
                           relation_window_span, survivor_witness, v_bound_check)
 from gsalg.limits import CapacityError
 from gsalg.parser import parse_expression
@@ -98,6 +98,41 @@ def test_v_dim_is_product_of_level_dims():
             want *= lad.level(p).v_dim
         assert dec.v_less.dim == want
         assert dec.v_greater.dim == want
+
+
+def _split_sets(lad, k):
+    dec = decompose_binary(lad, k)
+    return [s.monomials() for s in (dec.v_less, dec.u_less, dec.v_greater, dec.u_greater)]
+
+
+def _oracle_ladders():
+    shapes = [None, {5: 1}, {5: 2}]
+    lads = [build_ladder("random", top=4, seed=seed, eschedule=shapes[seed % 3])
+            for seed in range(6)]
+    return lads + [build_ladder("lex-greedy", top=4, eschedule={5: 2}),
+                   build_ladder("trivial", top=3)]
+
+
+def test_split_sets_match_general_chain_oracle():
+    # _general_chain builds V with Subspace.product and U as a sum of
+    # full-space products, a second construction of the same sets
+    for lad in _oracle_ladders():
+        for k in range(1, 11):
+            powers = decompose_binary(lad, k).powers
+            want = []
+            for order in (powers, powers[::-1]):
+                v, u = _general_chain(lad, order, k)
+                want += [v.monomials(), u.monomials()]
+            assert _split_sets(lad, k) == want, (lad.strategy, lad.eschedule, k)
+
+
+def test_split_sets_ignore_words_outside_their_level():
+    shape = [[0, 1], [0, 1, 3], [0, 5, 15]]
+    clean = ladder_from_levels(shape)
+    stray = ladder_from_levels([shape[0], shape[1] + [7, -1], shape[2] + [17, 99]],
+                               verify=False)
+    for k in range(1, 8):
+        assert _split_sets(stray, k) == _split_sets(clean, k)
 
 
 def test_decomposition_guards():

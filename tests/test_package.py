@@ -1,5 +1,7 @@
-"""Package hygiene: sources compile cleanly and every demo runs."""
+"""Package hygiene: sources compile cleanly, every demo runs, and every
+name the benchmark traces still exists."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,3 +32,19 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_names_resolve():
+    # perfbench/layers.py wraps these names; Tracer.install looks each one
+    # up in its owner's __dict__, so a rename breaks the traced benchmark
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.LAYERS
+    for qualname, _, _ in layers.LAYERS:
+        module_name, *attrs = qualname.split(".")
+        owner = importlib.import_module(f"gsalg.{module_name}")
+        for attr in attrs[:-1]:
+            owner = getattr(owner, attr)
+        assert callable(owner.__dict__.get(attrs[-1])), qualname

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from gsalg import quotient
 from gsalg.elements import Element
 from gsalg.fields import GF2, GF3, QQ, Field
+from gsalg.limits import CapacityError
 from gsalg.parser import parse_expression
 from gsalg.quotient import (QuotientError, audit_soundness,
                             certify_finite_dimensional, commutative_construction,
@@ -189,6 +192,29 @@ def test_input_validation():
     # explicit cap override allows it in principle
     assert default_precision_cap(2) == 10
     assert [default_precision_cap(n) for n in (3, 4, 5)] == [8, 6, 5]
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3], ids=lambda f: f.name)
+def test_mixed_capacity_estimate_is_within_4x_of_peak(monkeypatch, fld):
+    rels = sample_presentation(random.Random(0), n=2, count=2, max_degree=4)
+    assert not all(f.is_homogeneous() for f in rels)
+    estimates = []
+    monkeypatch.setattr(quotient, "require_capacity",
+                        lambda nbytes, what: estimates.append(nbytes))
+    tracemalloc.start()
+    try:
+        truncated_ideal_basis(rels, n=2, D=8, fld=fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak / 4 <= estimates[0] <= 4 * peak
+
+
+def test_mixed_gfp_build_over_budget_is_refused_up_front():
+    rels = sample_presentation(random.Random(0), n=3, count=2, max_degree=4)
+    with pytest.raises(CapacityError):
+        truncated_ideal_basis(rels, n=3, D=8, fld=GF3)
 
 
 def test_json_summary():
