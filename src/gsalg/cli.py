@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .elements import Element
@@ -94,10 +93,6 @@ def _parse_count(text: str) -> int:
     if k < 0 or b ** k < 1:
         raise ValueError(f"--at needs a degree of at least 1, got {text!r}")
     return b ** k
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +187,8 @@ def cmd_certify(args) -> int:
         "certified": cert is not None,
     }
     if cert is not None:
-        report["witness"] = _frac(cert.t)
-        report["value"] = _frac(cert.value)
+        report["witness"] = str(cert.t)
+        report["value"] = str(cert.value)
         report["points_checked"] = cert.points_checked
         return _emit(args, report, EXIT_OK)
     report["note"] = ("no rational witness found on the search grid; "
@@ -202,6 +197,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_ladder(args) -> int:
+    if args.e_max_degree < 0:
+        raise ValueError(f"--e-max-degree must be at least 0, got {args.e_max_degree}")
     lad = build_ladder(strategy=args.strategy, top=args.top, seed=args.seed)
     verify = lad.verify()
     levels = [{"m": lv.m, "degree": lv.degree, "v_dim": lv.v_dim,

@@ -78,10 +78,7 @@ class LadderLevel:
     def u(self) -> Subspace:
         if self.u_space is not None:
             return self.u_space
-        n = 1 << self.degree
-        require_capacity(n * 64, f"complement at level {self.m}")
-        return Subspace(2, self.degree,
-                        mono=frozenset(range(n)) - frozenset(self.words))
+        return Subspace(2, self.degree, mono=frozenset(self.words)).complement()
 
     def u_is_complement(self) -> bool:
         return self.u_space is None
@@ -106,10 +103,6 @@ class Ladder:
     def w_set(self, m: int) -> frozenset:
         return frozenset(self.level(m).words)
 
-    def all_monomial(self) -> bool:
-        return all(lv.u_is_complement() or lv.u().is_monomial
-                   for lv in self.levels)
-
     # -- verification ---------------------------------------------------
     def verify(self) -> Dict[str, bool]:
         """The level invariants, one named check per property."""
@@ -123,19 +116,14 @@ class Ladder:
         for m in range(1, self.top + 1):
             lv = self.level(m)
             prev = self.level(m - 1)
-            # direct sum: V + U = A(2^m), V cap U = 0
+            # direct sum: V + U = A(2^m), V cap U = 0; V is built unchecked
+            # because an unverified ladder may hold words outside A(2^m)
             if lv.u_space is not None:
+                v = Subspace(2, lv.degree, mono=frozenset(lv.words))
                 u = lv.u_space
-                if u.is_monomial:
-                    mono_u = u.monomials()
-                    if (frozenset(lv.words) & mono_u
-                            or len(lv.words) + len(mono_u) != 1 << lv.degree):
-                        ok_sum = False
-                else:
-                    v = lv.v_space()
-                    if (v.dim + u.dim != 1 << lv.degree
-                            or v.intersect(u).dim != 0):
-                        ok_sum = False
+                if not (v.dim + u.dim == 1 << lv.degree
+                        and v.intersect(u).dim == 0):
+                    ok_sum = False
             # U recursion on spanning sets
             if not _u_recursion_holds(prev, lv):
                 ok_rec = False
@@ -172,17 +160,19 @@ class Ladder:
 
     @staticmethod
     def from_json(data: dict, verify: bool = True) -> "Ladder":
-        levels = []
-        for entry in data["levels"]:
-            m = int(entry["m"])
-            words = tuple(sorted(parse_word(2, s)[1] for s in entry["v"]))
-            u = Subspace.from_json(entry["u"]) if "u" in entry else None
-            levels.append(LadderLevel(m, words, u))
+        entries = data["levels"]
+        u_spaces = {i: Subspace.from_json(e["u"])
+                    for i, e in enumerate(entries) if "u" in e}
         sched = None
         if "eschedule" in data:
             sched = {int(k): int(v) for k, v in data["eschedule"].items()}
-        lad = Ladder(levels, eschedule=sched,
-                     strategy=data.get("strategy", "user"))
+        # words are read against their position, so a wrong "m" shows up
+        # as a level_indexing failure rather than a parse error
+        lad = ladder_from_levels([e["v"] for e in entries], u_spaces=u_spaces,
+                                 eschedule=sched, verify=False)
+        for lv, e in zip(lad.levels, entries):
+            lv.m = int(e["m"])
+        lad.strategy = data.get("strategy", "user")
         if verify:
             _require_valid(lad)
         return lad
@@ -402,13 +392,7 @@ def decompose_binary(lad: Ladder, k: int) -> BinaryDecomposition:
         v_less, u_less = _general_chain(lad, powers, k)
         v_greater, u_greater = _general_chain(lad, list(reversed(powers)), k)
     for v, u in ((v_less, u_less), (v_greater, u_greater)):
-        direct = v.dim + u.dim == 1 << k
-        if direct:
-            if v.is_monomial and u.is_monomial:
-                direct = not (v.monomials() & u.monomials())
-            else:
-                direct = v.intersect(u).dim == 0
-        if not direct:
+        if v.dim + u.dim != 1 << k or v.intersect(u).dim != 0:
             raise LadderError(f"splitting of A({k}) failed to be direct")
     return BinaryDecomposition(k, powers, v_less, u_less, v_greater, u_greater)
 
@@ -541,13 +525,6 @@ def e_sets_consistent(lad: Ladder, k: int) -> bool:
     """Ideal-style closure: letter * E(k) and E(k) * letter land in E(k+1)."""
     e_k = compute_E(lad, k)
     e_k1 = compute_E(lad, k + 1)
-    if e_k.is_monomial and e_k1.is_monomial:
-        target = e_k1.monomials()
-        for w in e_k.monomials():
-            for letter in (0, 1):
-                if (letter << k | w) not in target or (w << 1 | letter) not in target:
-                    return False
-        return True
     left = Subspace.full_space(2, 1).product(e_k)
     right = e_k.product(Subspace.full_space(2, 1))
     return left.is_subspace_of(e_k1) and right.is_subspace_of(e_k1)
@@ -710,16 +687,8 @@ def survivor_witness(lad: Ladder, l: int) -> WitnessReport:
     k = lv.degree - 1
     e_space = compute_E(lad, k)
     stripped = [w >> 1 for w in chosen]
-    basis = e_space._as_basis().copy() if not e_space.is_monomial else None
-    if e_space.is_monomial:
-        eset = e_space.monomials()
-        seen = set()
-        independent = True
-        for s in stripped:
-            if s in eset or s in seen:
-                independent = False
-                break
-            seen.add(s)
-    else:
-        independent = all(basis.insert(1 << s) for s in stripped)
+    # distinct words are independent; modulo E they stay so iff their
+    # span meets E only in 0
+    s = Subspace.monomial_span(2, k, stripped)
+    independent = s.dim == len(stripped) and s.intersect(e_space).dim == 0
     return WitnessReport(l, len(chosen), letter, independent, len(words))

@@ -17,7 +17,8 @@ Homogeneous ideal layers, for both Hilbert series and truncated ideals,
 come from one builder, :func:`gsalg.series.ideal_layers`: it reduces each
 layer with ``rref_gf2`` over GF(2), ``rref_modp`` over GF(p) and
 ``SparseBasis`` over QQ.  Mixed-degree truncated ideals (:mod:`gsalg.quotient`)
-use ``BitBasis``, ``SparseBasis``, and the float64 engine there for p >= 3.
+use ``BitBasis``, ``SparseBasis``, and the float64 block engine there for
+p >= 3, whose blocks of at most 64 rows bottom out in ``rref_modp``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "SparseBasis",
     "pack_gf2",
     "rref_gf2",
-    "rank_gf2",
     "rref_modp",
     "bit_indices",
     "product_bits",
@@ -188,10 +188,6 @@ def rref_gf2(mat: np.ndarray, ncols: int) -> Tuple[int, List[int]]:
         pivots.append(c)
         rank += 1
     return rank, pivots
-
-
-def rank_gf2(mat: np.ndarray, ncols: int) -> int:
-    return rref_gf2(mat, ncols)[0]
 
 
 # ---------------------------------------------------------------------

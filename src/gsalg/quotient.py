@@ -22,6 +22,8 @@ precision: the span at precision j is x * (span at j - 1), over letters x,
 plus the rows trunc_j(f * v), in one basis over all degrees <= j.  Either way
 a ``BitBasis`` serves GF(2), a ``SparseBasis`` QQ, and the float64 mod-p
 engine below GF(p), p >= 3; its arithmetic is exact only for p < 2**15.
+That engine halves a block until at most 64 rows remain, reduces those
+with ``rref_modp`` and merges the halves with float64 products.
 
 A certificate k means F^k is contained in I + F^{D+1}.  Substituting the
 inclusion into itself bounds F^k inside I + F^N for every N, so in the
@@ -42,7 +44,7 @@ import numpy as np
 from .elements import Element
 from .fields import QQ, Field
 from .limits import require_capacity
-from .linalg import BitBasis, SparseBasis
+from .linalg import BitBasis, SparseBasis, rref_modp
 from .series import ideal_layers
 
 __all__ = [
@@ -135,34 +137,12 @@ def _mod_reduce(block: np.ndarray, rows: np.ndarray, pivs: List[int], p: int) ->
     return np.mod(out, p).astype(np.int64)
 
 
-def _rref_small(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    rows: List[np.ndarray] = []
-    pivs: List[int] = []
-    for raw in mat:
-        v = raw % p
-        for c, row in zip(pivs, rows):
-            if v[c]:
-                v = (v - int(v[c]) * row) % p
-        nz = np.nonzero(v)[0]
-        if not nz.size:
-            continue
-        c0 = int(nz[0])
-        v = (v * pow(int(v[c0]), p - 2, p)) % p
-        for i in range(len(rows)):
-            if rows[i][c0]:
-                rows[i] = (rows[i] - int(rows[i][c0]) * v) % p
-        at = bisect.bisect_left(pivs, c0)
-        pivs.insert(at, c0)
-        rows.insert(at, v)
-    if not rows:
-        return np.zeros((0, mat.shape[1]), dtype=np.int64), []
-    return np.array(rows, dtype=np.int64), pivs
-
-
 def _rref_block(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form of an integer matrix mod p, rows sorted by pivot."""
     if mat.shape[0] <= 64:
-        return _rref_small(mat, p)
+        mat = mat % p
+        rank, pivs = rref_modp(mat, p)
+        return mat[:rank], pivs
     half = mat.shape[0] // 2
     top, tpiv = _rref_block(mat[:half], p)
     rest = _mod_reduce(mat[half:], top, tpiv, p) if tpiv else mat[half:] % p

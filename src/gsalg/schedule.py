@@ -58,10 +58,6 @@ def _as_mag(r: Count) -> Magnitude:
     return Magnitude.from_int(r) if isinstance(r, int) else r
 
 
-def _count_str(r: Count) -> str:
-    return str(r)
-
-
 def _int_lt_pow2(x: int, d: int) -> bool:
     """x < 2**d for x >= 1, without forming 2**d."""
     return d >= 0 and x.bit_length() <= d
@@ -122,10 +118,6 @@ def _le_pow2pow(r: Count, d: int) -> bool:
             return False
         lg = r.log2_floor()
     return lg >= 1 and lg & (lg - 1) == 0 and lg.bit_length() == d + 1
-
-
-def _cmp(a: Count, b: Count) -> int:
-    return magnitude_cmp(a, b)
 
 
 # -- profiles -----------------------------------------------------------
@@ -289,7 +281,7 @@ def _window_hit(deg: Count, n: int) -> bool:
         return 7 << (n - 3) <= deg <= 5 << (n - 2)
     lo = Magnitude.from_int(7).mul(Magnitude.pow2(n - 3))
     hi = Magnitude.from_int(5).mul(Magnitude.pow2(n - 2))
-    return _cmp(lo, deg) <= 0 and _cmp(deg, hi) <= 0
+    return magnitude_cmp(lo, deg) <= 0 and magnitude_cmp(deg, hi) <= 0
 
 
 def validate_profile(profile: DyadicProfile,
@@ -316,7 +308,7 @@ def validate_profile(profile: DyadicProfile,
         for n in small:
             rep.entries.append(ConditionEntry(
                 "small_levels_empty", False, level=n,
-                lhs=_count_str(profile.r(n)), rhs="0",
+                lhs=str(profile.r(n)), rhs="0",
                 note="windows below index 8 must be empty"))
     else:
         rep.entries.append(ConditionEntry("small_levels_empty", True))
@@ -329,7 +321,7 @@ def validate_profile(profile: DyadicProfile,
                 if _window_hit(deg, n):
                     hits.append(ConditionEntry(
                         "window_free", False, level=n,
-                        lhs=_count_str(deg),
+                        lhs=str(deg),
                         rhs=f"[2^{n} - 2^{n - 3}, 2^{n} + 2^{n - 2}]",
                         note="degree lands in a forbidden band"))
         rep.entries.extend(hits if hits else
@@ -344,25 +336,25 @@ def validate_profile(profile: DyadicProfile,
                 ok = True if isinstance(rn, Magnitude) else rn >= 1
                 rep.entries.append(ConditionEntry(
                     "chain_lower", ok, level=n, other=0,
-                    lhs="0", rhs=_count_str(rn),
+                    lhs="0", rhs=str(rn),
                     note="empty bottom window read as r_0 = 0; the lower "
                          "bound degenerates to r_n >= 1"))
             else:
                 lhs = Magnitude.pow2(3 * n + 4).mul(_as_mag(rm).pow_int(33))
                 rep.entries.append(ConditionEntry(
-                    "chain_lower", _cmp(lhs, rn) < 0, level=n, other=m,
-                    lhs=str(lhs), rhs=_count_str(rn)))
+                    "chain_lower", magnitude_cmp(lhs, rn) < 0, level=n, other=m,
+                    lhs=str(lhs), rhs=str(rn)))
             d = n - m - 3
             rep.entries.append(ConditionEntry(
                 "chain_upper", _lt_pow2pow(rn, d), level=n, other=m,
-                lhs=_count_str(rn), rhs=f"2^(2^{d})"))
+                lhs=str(rn), rhs=f"2^(2^{d})"))
 
     if support:
         n0 = support[0]
         base = Magnitude.pow2(3 * n0 + 4)
         rep.entries.append(ConditionEntry(
-            "base_gap", _cmp(base, profile.r(n0)) < 0, level=n0,
-            lhs=str(base), rhs=_count_str(profile.r(n0)), informational=True,
+            "base_gap", magnitude_cmp(base, profile.r(n0)) < 0, level=n0,
+            lhs=str(base), rhs=str(profile.r(n0)), informational=True,
             note="strict reading of the empty-window base case; the "
                  "cumulative product condition relies on it"))
 
@@ -370,7 +362,7 @@ def validate_profile(profile: DyadicProfile,
         d = n // 2 - 4
         rep.entries.append(ConditionEntry(
             "half_level_upper", _lt_pow2pow(profile.r(n), d), level=n,
-            lhs=_count_str(profile.r(n)), rhs=f"2^(2^{d})",
+            lhs=str(profile.r(n)), rhs=f"2^(2^{d})",
             note="floor convention for n/2"))
 
     return rep
@@ -505,7 +497,7 @@ def verify_schedule(sched: Schedule,
         r = profile.r(n)
         ok = (not _lt_pow2pow(r, en - 3)) and _lt_pow2pow(r, en - 2)
         rep.entries.append(ConditionEntry(
-            "bracket", ok, level=n, lhs=_count_str(r),
+            "bracket", ok, level=n, lhs=str(r),
             rhs=f"[2^(2^{en - 3}), 2^(2^{en - 2}))"))
         rep.entries.append(ConditionEntry(
             "exponent_range", 1 <= en <= n - 1, level=n,
@@ -517,17 +509,17 @@ def verify_schedule(sched: Schedule,
         tn = (1 << (en - 1)) - 3 * n - 4 - sum(acc_exps)
         rep.entries.append(ConditionEntry(
             "count_budget", sched.t_of(n) == tn and _le_pow2(r, tn),
-            level=n, lhs=_count_str(r), rhs=f"2^{tn}"))
+            level=n, lhs=str(r), rhs=f"2^{tn}"))
         lhs = _as_mag(r).mul(Magnitude.pow2(3 * n + 4))
         for exp in acc_exps:
             lhs = lhs.mul(Magnitude.pow2(exp))
         rhs = Magnitude.pow2(1 << (en - 1))
         rep.entries.append(ConditionEntry(
-            "master_product", _cmp(lhs, rhs) <= 0, level=n,
+            "master_product", magnitude_cmp(lhs, rhs) <= 0, level=n,
             lhs=str(lhs), rhs=f"2^(2^{en - 1})"))
         rep.entries.append(ConditionEntry(
             "fourth_power", _le_pow2pow(_as_mag(r).pow_int(4), en),
-            level=n, lhs=f"({_count_str(r)})^4", rhs=f"2^(2^{en})"))
+            level=n, lhs=f"({r})^4", rhs=f"2^(2^{en})"))
         rep.entries.append(ConditionEntry(
             "tight_regime", 2 * en + 2 < n, level=n, informational=True,
             note="e(n) < n/2 - 1, the regime of the product upper bound"))
@@ -569,8 +561,8 @@ def cumulative_gap_report(profile: DyadicProfile) -> ValidationReport:
         for i in support[:idx]:
             lhs = lhs.mul(_as_mag(profile.r(i)).pow_int(32))
         rep.entries.append(ConditionEntry(
-            "cumulative_gap", _cmp(lhs, profile.r(n)) < 0, level=n,
-            lhs=str(lhs), rhs=_count_str(profile.r(n)),
+            "cumulative_gap", magnitude_cmp(lhs, profile.r(n)) < 0, level=n,
+            lhs=str(lhs), rhs=str(profile.r(n)),
             note="empty product: bare power base case" if idx == 0 else ""))
     return rep
 
@@ -710,11 +702,11 @@ def growth_bounds(sched: Schedule, n: Count) -> GrowthBounds:
         for name, up in uppers:
             doubled = two.mul(up)
             checks.append(ConditionEntry(
-                "consistency", _cmp(low4, doubled) <= 0, level=jj,
-                lhs=f"({_count_str(profile.r(jj))})^4",
+                "consistency", magnitude_cmp(low4, doubled) <= 0, level=jj,
+                lhs=f"({profile.r(jj)})^4",
                 rhs=f"2 * {name}"))
             checks.append(ConditionEntry(
-                "consistency", _cmp(lowl, doubled) <= 0, level=jj,
+                "consistency", magnitude_cmp(lowl, doubled) <= 0, level=jj,
                 lhs=f"2^(2^{sched.e_of(jj)})", rhs=f"2 * {name}"))
     return GrowthBounds(n, k, j, upper_count, upper_prod,
                         lower4, lower_lvl, checks, notes)
@@ -778,7 +770,7 @@ def tower_class_checks(sched: Schedule,
                  else gb.upper_level_product)
         rhs = Magnitude.pow2(3 + 4 * s + 200 * s ** 3)
         rep.entries.append(ConditionEntry(
-            "upper_class", _cmp(upper, rhs) <= 0, level=s,
+            "upper_class", magnitude_cmp(upper, rhs) <= 0, level=s,
             lhs=str(upper), rhs=f"2^{3 + 4 * s + 200 * s ** 3}",
             note="" if gb.upper_count_power is None else
             f"count-power bound via window {gb.k}"))
@@ -786,7 +778,7 @@ def tower_class_checks(sched: Schedule,
         lhs = _as_mag(profile.r(m)).pow_int(4)
         rhs = Magnitude.power(40, 8 * m * m)
         rep.entries.append(ConditionEntry(
-            "lower_class", _cmp(lhs, rhs) > 0, level=m,
+            "lower_class", magnitude_cmp(lhs, rhs) > 0, level=m,
             lhs=str(lhs), rhs=str(rhs),
             note="doubled lower bound exceeds the quoted floor"))
     return rep

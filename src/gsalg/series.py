@@ -158,6 +158,18 @@ class SearchParams:
     boundary_probes: int = 24
     refine_rounds: int = 10
 
+    def __post_init__(self):
+        def is_int(x):
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        den = self.grid_denominator
+        if den is not None and not (is_int(den) and den >= 2):
+            raise ValueError(f"grid denominator must be an integer >= 2, got {den!r}")
+        for name in ("boundary_probes", "refine_rounds"):
+            val = getattr(self, name)
+            if not (is_int(val) and val >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {val!r}")
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -178,8 +190,6 @@ def certify_infinite(profile: DegreeProfile,
     found within the search budget, which is inconclusive.
     """
     den = params.grid_denominator or profile.max_degree + 2
-    if den < 2:
-        den = 2
     checked = 0
     best_t = None
     best_v = None

@@ -16,12 +16,9 @@ __all__ = [
     "concat",
     "word_letters",
     "word_from_letters",
-    "subword",
     "word_str",
     "parse_word",
     "letter_names",
-    "pack2",
-    "unpack2",
     "all_subwords2",
 ]
 
@@ -51,13 +48,6 @@ def word_from_letters(d: int, letters: Sequence[int]) -> Tuple[int, int]:
             raise ValueError(f"letter {a} out of range for alphabet size {d}")
         idx = idx * d + a
     return len(letters), idx
-
-
-def subword(d: int, k: int, idx: int, pos: int, length: int) -> Tuple[int, int]:
-    """The factor of length ``length`` starting at offset ``pos`` from the left."""
-    if pos < 0 or length < 0 or pos + length > k:
-        raise ValueError("subword out of range")
-    return length, (idx // d ** (k - pos - length)) % d ** length
 
 
 def letter_names(d: int) -> List[str]:
@@ -118,19 +108,6 @@ def parse_word(d: int, text: str) -> Tuple[int, int]:
             i = j
         letters.extend([lookup[name]] * exp)
     return word_from_letters(d, letters)
-
-
-# -- two-letter fast path ----------------------------------------------
-# Words over x < y pack into a single int: (1 << k) | idx.  This keeps
-# mixed degrees in one set and makes degree recovery a bit_length call.
-
-def pack2(k: int, idx: int) -> int:
-    return (1 << k) | idx
-
-
-def unpack2(p: int) -> Tuple[int, int]:
-    k = p.bit_length() - 1
-    return k, p ^ (1 << k)
 
 
 def all_subwords2(k: int, idx: int, length: int) -> Iterator[int]:

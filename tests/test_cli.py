@@ -254,3 +254,20 @@ def test_malformed_degree_profile_exit_code(capsys, tmp_path, content, message):
     assert code == 2
     assert out == ""
     assert message in err and str(f) in err
+
+
+@pytest.mark.parametrize("den", ["-3", "0", "1"])
+def test_certify_rejects_grid_denominators_below_two(capsys, profile_r3, den):
+    # -3 used to run with denominator 2 and 0 with the default, both exit 0
+    code, out, err = run(capsys, "certify", "--profile", profile_r3,
+                         "--grid-denominator", den, "--json")
+    assert code == 2
+    assert out == ""
+    assert f"grid denominator must be an integer >= 2, got {den}" in err
+
+
+def test_ladder_rejects_negative_e_max_degree(capsys):
+    code, out, err = run(capsys, "ladder", "--top", "3", "--e-max-degree", "-1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "--e-max-degree must be at least 0, got -1" in err

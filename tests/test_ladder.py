@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from gsalg.ladder import (Ladder, LadderError, _general_chain, absorption_check,
                           decompose_binary, e_sets_consistent, ladder_from_levels,
                           relation_window_span, survivor_witness, v_bound_check)
 from gsalg.limits import CapacityError
+from gsalg.linalg import BitBasis
 from gsalg.parser import parse_expression
 from gsalg.subspace import Subspace
 from gsalg.words import word_str
@@ -68,6 +70,31 @@ def test_json_round_trip():
     assert [lv.words for lv in back.levels] == [lv.words for lv in lad.levels]
     assert back.eschedule == {3: 1}
     assert back.strategy == "random"
+    for other in [lad] + [build_ladder(s, top=3, seed=1)
+                          for s in ("trivial", "lex-greedy", "random")]:
+        data = other.to_json()
+        assert Ladder.from_json(data).to_json() == data
+
+
+def test_json_words_follow_ladder_from_levels_rules():
+    data = build_ladder("lex-greedy", top=3, eschedule={3: 1}).to_json()
+    # "x" has degree 1, not 4; it used to be read as x^4
+    short = copy.deepcopy(data)
+    short["levels"][2]["v"][0] = "x"
+    with pytest.raises(LadderError, match="degree 1, level 2 needs 4"):
+        Ladder.from_json(short)
+    # a repeated word counts once, so V(8) has dim 1 and misses its target 2
+    twice = copy.deepcopy(data)
+    twice["levels"][3]["v"] = ["x^8", "x^8"]
+    with pytest.raises(LadderError, match="target_dims"):
+        Ladder.from_json(twice)
+    lad = Ladder.from_json(twice, verify=False)
+    assert lad.level(3).v_dim == decompose_binary(lad, 8).v_less.dim == 1
+    # a wrong level index is a failed invariant, not a parse error
+    moved = copy.deepcopy(data)
+    moved["levels"][2]["m"] = 5
+    with pytest.raises(LadderError, match="level_indexing"):
+        Ladder.from_json(moved)
 
 
 def test_json_round_trip_with_general_u():
@@ -75,6 +102,54 @@ def test_json_round_trip_with_general_u():
     lad = ladder_from_levels([["x", "y"], ["xx", "xy", "yx"]], u_spaces={1: u})
     back = Ladder.from_json(lad.to_json())
     assert back.level(1).u().equals(u)
+
+
+# -- the level checks on other U backends ---------------------------------
+
+def _fleet(count):
+    shapes = [None, {5: 1}, {5: 2}]
+    return [build_ladder("random", top=4, seed=seed, eschedule=shapes[seed % 3])
+            for seed in range(count)]
+
+
+def _check_reports(lad):
+    return (lad.verify(),
+            [vars(survivor_witness(lad, l)) for l in (2, 3, 4)],
+            [e_sets_consistent(lad, k) for k in range(1, 7)])
+
+
+def test_rows_backend_replica_gives_the_same_reports():
+    # U(2), U(4) as GF(2) row spans: the level checks run on the rows
+    # backend and E(1..3) comes from the kernel, not the factor scan
+    for lad in _fleet(12):
+        u_spaces = {}
+        for m in (1, 2):
+            basis = BitBasis()
+            for w in range(1 << (1 << m)):
+                if w not in lad.level(m).words:
+                    basis.insert(1 << w)
+            u_spaces[m] = Subspace(2, 1 << m, rows=basis)
+        replica = ladder_from_levels([lv.words for lv in lad.levels], u_spaces=u_spaces,
+                                     eschedule=lad.eschedule)
+        assert not replica.level(2).u().is_monomial
+        assert _check_reports(replica) == _check_reports(lad)
+
+
+def test_explicit_monomial_u_spaces():
+    for lad in _fleet(10):
+        words = [lv.words for lv in lad.levels]
+        for m in (1, 2, 3):
+            comp = {j: Subspace(2, 1 << j, mono=lad.level(j).u().monomials())
+                    for j in range(1, m + 1)}
+            given = ladder_from_levels(words, u_spaces=comp, eschedule=lad.eschedule)
+            assert _check_reports(given) == _check_reports(lad)
+            dropped = dict(comp)
+            dropped[m] = Subspace(2, 1 << m, mono=frozenset(sorted(comp[m].mono)[1:]))
+            added = dict(comp)
+            added[m] = Subspace(2, 1 << m, mono=comp[m].mono | {words[m][0]})
+            for us in (dropped, added):
+                bad = ladder_from_levels(words, u_spaces=us, verify=False)
+                assert bad.verify()["direct_sum"] is False, (lad.strategy, m)
 
 
 # -- binary decomposition -----------------------------------------------
@@ -106,11 +181,8 @@ def _split_sets(lad, k):
 
 
 def _oracle_ladders():
-    shapes = [None, {5: 1}, {5: 2}]
-    lads = [build_ladder("random", top=4, seed=seed, eschedule=shapes[seed % 3])
-            for seed in range(6)]
-    return lads + [build_ladder("lex-greedy", top=4, eschedule={5: 2}),
-                   build_ladder("trivial", top=3)]
+    return _fleet(6) + [build_ladder("lex-greedy", top=4, eschedule={5: 2}),
+                        build_ladder("trivial", top=3)]
 
 
 def test_split_sets_match_general_chain_oracle():

@@ -1,6 +1,7 @@
-"""Package hygiene: sources compile cleanly, every demo runs, and every
-name the benchmark traces still exists."""
+"""Package hygiene: sources compile cleanly, every demo runs, every
+exported name exists, and every name the benchmark traces still exists."""
 
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -22,6 +23,14 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_all_names_resolve(source):
+    name = "gsalg" if source.stem == "__init__" else f"gsalg.{source.stem}"
+    module = importlib.import_module(name)
+    for attr in getattr(module, "__all__", []):
+        assert hasattr(module, attr), f"{name}.{attr}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

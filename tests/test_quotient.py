@@ -2,12 +2,15 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsalg import quotient
 from gsalg.elements import Element
 from gsalg.fields import GF2, GF3, QQ, Field
 from gsalg.limits import CapacityError
+from gsalg.linalg import rref_modp
 from gsalg.parser import parse_expression
 from gsalg.quotient import (QuotientError, audit_soundness,
                             certify_finite_dimensional, commutative_construction,
@@ -171,6 +174,24 @@ def test_mixed_ideals_match_ufv_oracle():
                 assert got == expected, (rels, fld, D)
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 40), st.sampled_from([3, 5, 32749]),
+       st.integers(0, 10 ** 9))
+def test_rref_block_matches_rref_modp_on_the_whole_matrix(nrows, ncols, p, seed):
+    # 1..200 rows cover blocks on both sides of the 64-row split; low-rank
+    # products make the merges of the two halves nontrivial
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, ncols + 1))
+    left = rng.integers(0, p, size=(nrows, rank), dtype=np.int64)
+    right = rng.integers(0, p, size=(rank, ncols), dtype=np.int64)
+    mat = (left @ right) % p + p * rng.integers(-1, 2, size=(nrows, ncols))
+    rows, pivs = quotient._rref_block(mat.copy(), p)
+    want = mat % p
+    want_rank, want_pivs = rref_modp(want, p)
+    assert pivs == want_pivs
+    assert np.array_equal(rows, want[:want_rank])
 
 
 def test_input_validation():

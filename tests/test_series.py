@@ -163,6 +163,25 @@ def test_certificate_search_params():
     assert cert.t <= Fraction(4, 5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"grid_denominator": -3}, {"grid_denominator": 0}, {"grid_denominator": 1},
+    {"grid_denominator": 2.5}, {"grid_denominator": True},
+    {"boundary_probes": -1}, {"boundary_probes": 1.5},
+    {"refine_rounds": -1}, {"refine_rounds": "10"},
+])
+def test_search_params_reject_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        SearchParams(**kwargs)
+
+
+def test_search_params_edge_values_run():
+    profile = DegreeProfile.make(2, {3: 1})
+    cert = certify_infinite(profile, SearchParams(grid_denominator=2))
+    assert (cert.t, cert.points_checked) == (Fraction(3, 4), 3)
+    bare = SearchParams(grid_denominator=2, boundary_probes=0, refine_rounds=0)
+    assert certify_infinite(profile, bare) is None
+
+
 # -- entropy window -------------------------------------------------------
 
 def test_entropy_of_free_algebra_is_exactly_two():

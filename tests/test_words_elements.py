@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from gsalg.elements import Element
 from gsalg.parser import ParseError, parse_expression, parse_relation, parse_relations
-from gsalg.words import (all_subwords2, concat, num_words, pack2, parse_word,
-                         subword, unpack2, word_from_letters, word_letters,
-                         word_str)
+from gsalg.words import (all_subwords2, concat, num_words, parse_word,
+                         word_from_letters, word_letters, word_str)
 
 
 # -- words ------------------------------------------------------------
@@ -31,24 +30,6 @@ def test_concat_is_letter_concat(d, u, v):
     assert word_letters(d, k, idx) == u + v
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=10),
-       st.data())
-def test_subword_matches_slice(letters, data):
-    d = 2
-    k, idx = word_from_letters(d, letters)
-    pos = data.draw(st.integers(0, k))
-    length = data.draw(st.integers(0, k - pos))
-    sk, sidx = subword(d, k, idx, pos, length)
-    assert word_letters(d, sk, sidx) == letters[pos:pos + length]
-
-
-def test_subword_range_errors():
-    with pytest.raises(ValueError):
-        subword(2, 3, 0, 2, 2)
-    with pytest.raises(ValueError):
-        subword(2, 3, 0, -1, 1)
-
-
 @given(st.integers(2, 4), st.integers(1, 6), st.data())
 def test_word_str_parse_round_trip(d, k, data):
     idx = data.draw(st.integers(0, max(0, num_words(d, k) - 1)))
@@ -61,12 +42,6 @@ def test_word_str_examples():
     assert word_str(2, 3, 0b001) == "x^2*y"
     assert word_str(2, 2, 0b10) == "y*x"
     assert parse_word(2, "xxy") == (3, 0b001)
-
-
-@given(st.integers(0, 10), st.data())
-def test_pack2_round_trip(k, data):
-    idx = data.draw(st.integers(0, max(0, (1 << k) - 1)))
-    assert unpack2(pack2(k, idx)) == (k, idx)
 
 
 def test_all_subwords2_oracle():
