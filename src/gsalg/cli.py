@@ -19,6 +19,7 @@ from .fields import FieldError, field_by_name
 from .ladder import (LadderError, build_ladder, compute_E, cover_bound_check,
                      e_sets_consistent, survivor_witness)
 from .limits import CapacityError
+from .magnitude import MATERIALIZE_BITS
 from .parser import ParseError, parse_relations
 from .quotient import (QuotientError, certify_finite_dimensional,
                        commutativity_status, relation_threshold,
@@ -90,6 +91,8 @@ def _parse_count(text: str) -> int:
         b, k = int(base), int(exp) if hat else 1
     except ValueError as exc:
         raise ValueError(f"--at needs an integer or B^K, got {text!r}") from exc
+    if k * b.bit_length() > MATERIALIZE_BITS:
+        raise ValueError(f"--at {text!r} exceeds the {MATERIALIZE_BITS}-bit budget")
     if k < 0 or b ** k < 1:
         raise ValueError(f"--at needs a degree of at least 1, got {text!r}")
     return b ** k

@@ -7,11 +7,14 @@ integers, or certified rational bounds on their base-2 logarithms are
 refined until the intervals separate.  Equality of structurally distinct
 forms is decided on a canonical prime-split factorization; if nothing
 separates within the refinement budget an error is raised rather than
-ever guessing from floats.
+ever guessing from floats.  Bases are split by batch trial division (one
+gcd against the product of the primes below 2^16), and only once.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
@@ -32,7 +35,7 @@ EXPONENT_BITS = 1 << 26
 # Log-interval refinement schedule.
 _PREC_START = 64
 _PREC_LIMIT = 1 << 13
-# Trial-division bound used when canonicalizing bases.
+# Primes below this bound are split off bases by one gcd against their product.
 _SMALL_FACTOR_BOUND = 1 << 16
 
 
@@ -98,24 +101,24 @@ def _split_base(b: int) -> list[tuple[int, int]]:
     perfect powers collapsed, any remaining large cofactor kept opaque."""
     out: list[tuple[int, int]] = []
     m = b
-    for p in (2, 3, 5, 7, 11, 13):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    q = 17
-    while q * q <= m and q < _SMALL_FACTOR_BOUND:
-        if m % q == 0:
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            out.append((q, e))
-        q += 2
+    primes, product = _small_prime_table()
+    g = math.gcd(m, product)
+    for p in primes:
+        if g == 1:
+            break
+        if g < p * p:
+            p = g  # g is squarefree with no prime below p, so prime
+        elif g % p:
+            continue
+        g //= p
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
     if m > 1:
-        if q * q > m:
+        # no prime below the bound divides m, and 2^16 + 1 is prime
+        if m < (_SMALL_FACTOR_BOUND + 1) ** 2:
             out.append((m, 1))  # m is prime
         else:
             # perfect-power collapse on the opaque cofactor; prime
@@ -129,6 +132,13 @@ def _split_base(b: int) -> list[tuple[int, int]]:
             else:
                 out.append((m, 1))
     return out
+
+
+@functools.cache
+def _small_prime_table() -> tuple[tuple[int, ...], int]:
+    """Primes below _SMALL_FACTOR_BOUND and their product; built on first use."""
+    primes = tuple(_small_primes(_SMALL_FACTOR_BOUND - 1))
+    return primes, math.prod(primes)
 
 
 def _small_primes(limit: int):
@@ -186,7 +196,8 @@ class Magnitude:
 
     # -- arithmetic ---------------------------------------------------
     def mul(self, other: "Magnitude") -> "Magnitude":
-        return _canonical(self.coeff * other.coeff, self.factors + other.factors)
+        return _canonical(self.coeff * other.coeff, self.factors + other.factors,
+                          presplit=True)
 
     def __mul__(self, other: "Magnitude") -> "Magnitude":
         return self.mul(other)
@@ -199,7 +210,8 @@ class Magnitude:
         fac = tuple((b, _check_exponent(e * k)) for b, e in self.factors)
         if self.coeff > 1 and self.coeff.bit_length() * k > MATERIALIZE_BITS:
             raise MagnitudeError("coefficient power exceeds the magnitude budget")
-        return _canonical(self.coeff ** k if self.coeff > 1 else 1, fac)
+        return _canonical(self.coeff ** k if self.coeff > 1 else 1, fac,
+                          presplit=True)
 
     # -- size estimates ----------------------------------------------
     def bits_upper(self) -> int:
@@ -267,7 +279,10 @@ class Magnitude:
             if isinstance(e, dict):
                 if e.get("base") != "2":
                     raise MagnitudeError("nested exponents must have base 2")
-                return 1 << int(e["exp"])
+                n = int(e["exp"])
+                if not 0 <= n < EXPONENT_BITS:
+                    raise MagnitudeError("exponent exceeds the magnitude budget")
+                return 1 << n
             return int(e)
 
         fac = tuple((int(f["base"]), _check_exponent(dec_exp(f["exp"])))
@@ -286,7 +301,10 @@ class Magnitude:
         return " * ".join(parts)
 
 
-def _canonical(coeff: int, factors: Tuple[Tuple[int, int], ...]) -> Magnitude:
+def _canonical(coeff: int, factors: Tuple[Tuple[int, int], ...],
+               presplit: bool = False) -> Magnitude:
+    # presplit: every b is a canonical factor base, so _split_base(b) is
+    # [(b, 1)] and only the coefficient needs splitting
     if coeff < 1:
         raise MagnitudeError("magnitudes are positive integers")
     merged: dict[int, int] = {}
@@ -300,7 +318,7 @@ def _canonical(coeff: int, factors: Tuple[Tuple[int, int], ...]) -> Magnitude:
         if b < 1:
             raise MagnitudeError("base must be a positive integer")
         _check_exponent(e)
-        for base, mult in _split_base(b):
+        for base, mult in ((b, 1),) if presplit else _split_base(b):
             add(base, _check_exponent(mult * e))
     # absorb the smooth part of the coefficient
     rest = 1

@@ -144,6 +144,11 @@ def gs_min_series(profile: DegreeProfile, n_max: int) -> List[int]:
 # infinite-dimensionality certificates
 
 
+# Largest base-grid denominator accepted: every grid point is one exact
+# Fraction evaluation of the certificate polynomial, so the grid bounds the work.
+MAX_GRID_DENOMINATOR = 1 << 16
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Controls for the certificate search over rational t in (0, 1).
@@ -165,6 +170,9 @@ class SearchParams:
         den = self.grid_denominator
         if den is not None and not (is_int(den) and den >= 2):
             raise ValueError(f"grid denominator must be an integer >= 2, got {den!r}")
+        if den is not None and den > MAX_GRID_DENOMINATOR:
+            raise ValueError(f"grid denominator must be at most "
+                             f"{MAX_GRID_DENOMINATOR}, got {den}")
         for name in ("boundary_probes", "refine_rounds"):
             val = getattr(self, name)
             if not (is_int(val) and val >= 0):

@@ -227,6 +227,31 @@ def test_bounds_rejects_degrees_below_one(capsys, tmp_path, at):
     assert "--at" in err and repr(at) in err
 
 
+@pytest.mark.parametrize("at", ["2^1000000000000", "10^400000"])
+def test_bounds_refuses_degrees_over_the_bit_budget(capsys, tmp_path, at):
+    # B^K is refused from K * bitlen(B) alone, before B ** K is computed
+    f = tmp_path / "prof.json"
+    f.write_text(json.dumps({"levels": [{"n": 8, "r": "65536"}]}))
+    code, out, err = run(capsys, "bounds", "--profile", str(f), "--at", at, "--json")
+    assert code == 2
+    assert out == ""
+    assert repr(at) in err and "bit budget" in err
+
+
+@pytest.mark.parametrize("command", ["schedule", "bounds"])
+def test_huge_nested_exponent_in_profile_exit_code(capsys, tmp_path, command):
+    # r = 3^(2^(10^12)): the nested exponent alone would take 125 GB
+    r = {"coeff": "1",
+         "factors": [{"base": "3", "exp": {"base": "2", "exp": "1000000000000"}}]}
+    f = tmp_path / "prof.json"
+    f.write_text(json.dumps({"levels": [{"n": 8, "r": r}]}))
+    extra = ["--at", "8"] if command == "bounds" else []
+    code, out, err = run(capsys, command, "--profile", str(f), *extra, "--json")
+    assert code == 2
+    assert out == ""
+    assert "bad dyadic profile" in err and "magnitude budget" in err
+
+
 @pytest.mark.parametrize("command", ["schedule", "bounds"])
 @pytest.mark.parametrize("content, message", [
     (json.dumps({"levels": [{"n": 8}]}), "bad dyadic profile"),
@@ -264,6 +289,16 @@ def test_certify_rejects_grid_denominators_below_two(capsys, profile_r3, den):
     assert code == 2
     assert out == ""
     assert f"grid denominator must be an integer >= 2, got {den}" in err
+
+
+@pytest.mark.parametrize("den", ["65537", "100000000"])
+def test_certify_rejects_grid_denominators_over_the_cap(capsys, profile_r3, den):
+    # each grid point is an exact evaluation; 10^8 of them ran for minutes
+    code, out, err = run(capsys, "certify", "--profile", profile_r3,
+                         "--grid-denominator", den, "--json")
+    assert code == 2
+    assert out == ""
+    assert f"grid denominator must be at most 65536, got {den}" in err
 
 
 def test_ladder_rejects_negative_e_max_degree(capsys):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from gsalg.elements import Element
-from gsalg.ladder import (Ladder, LadderError, _general_chain, absorption_check,
+import gsalg.ladder
+from gsalg.ladder import (Ladder, LadderError, LadderLevel, _general_chain,
+                          absorption_check,
                           build_ladder, compute_E, cover_bound_check,
                           decompose_binary, e_sets_consistent, ladder_from_levels,
                           relation_window_span, survivor_witness, v_bound_check)
@@ -361,3 +363,127 @@ def test_witness_with_general_e_space():
     rep = survivor_witness(lad, 2)
     assert rep.letter == "x" and rep.p == 2
     assert rep.independent
+
+
+# -- False verdicts, checked by brute force --------------------------------
+#
+# E(k) by its definition: the vectors r of A(k) such that every u*r*v of
+# degree 2^(n+1) lies in U(2^n)A(2^n) + A(2^n)U(2^n), 2^(n-1) <= k < 2^n.
+# Vectors are ints over word indices; spans use a small elimination here.
+
+def _reduce(basis, v):
+    while v and v.bit_length() - 1 in basis:
+        v ^= basis[v.bit_length() - 1]
+    return v
+
+
+def _span(vectors):
+    basis = {}
+    for v in vectors:
+        v = _reduce(basis, v)
+        if v:
+            basis[v.bit_length() - 1] = v
+    return basis
+
+
+def _concat(a, b, kb):
+    """Sum of the concatenations of a's words with b's words (b in degree kb)."""
+    return sum(1 << (i << kb | j) for i in range(a.bit_length()) if a >> i & 1
+               for j in range(b.bit_length()) if b >> j & 1)
+
+
+def _brute_e(u_vectors, k):
+    half = 1 << k.bit_length()
+    total = 2 * half
+    words = [1 << w for w in range(1 << half)]
+    w_space = _span([_concat(u, w, half) for u in u_vectors for w in words]
+                    + [_concat(w, u, half) for u in u_vectors for w in words])
+    return {r for r in range(1 << (1 << k))
+            if all(_reduce(w_space, _concat(_concat(1 << u, r, k), 1 << v,
+                                            total - k - p)) == 0
+                   for p in range(total - k + 1)
+                   for u in range(1 << p) for v in range(1 << (total - k - p)))}
+
+
+def _complement_vectors(words, degree):
+    return [1 << w for w in range(1 << degree) if w not in words]
+
+
+def _rows(vectors, degree):
+    basis = BitBasis()
+    for v in vectors:
+        basis.insert(v)
+    return Subspace(2, degree, rows=basis)
+
+
+def _closure_cases():
+    # W(1) = {yy} gives E(1) = span{x}; W(2) = {xxxx} puts xx outside E(2)
+    levels = [["x", "y"], ["yy"], ["xxxx"]]
+    u1 = _complement_vectors({3}, 2)
+    u2 = _complement_vectors({0}, 4)
+    yield ladder_from_levels(levels, verify=False), u1, u2, False
+    # the same spaces given as GF(2) rows take the kernel backend
+    yield (ladder_from_levels(levels, u_spaces={1: _rows(u1, 2), 2: _rows(u2, 4)},
+                              verify=False), u1, u2, False)
+    # a valid ladder with W(2) = {yyyy}: E(1) = span{x} and E(2) = span{xx, xy, yx}
+    yield (ladder_from_levels([["x", "y"], ["yy"], ["yyyy"]]), u1,
+           _complement_vectors({15}, 4), True)
+
+
+@pytest.mark.parametrize("lad, u1, u2, expected", list(_closure_cases()),
+                         ids=["monomial", "rows", "valid"])
+def test_e_closure_verdict_matches_brute_force(lad, u1, u2, expected):
+    e1, e2 = _brute_e(u1, 1), _brute_e(u2, 2)
+    closed = all(_concat(1 << a, r, 1) in e2 and _concat(r, 1 << a, 1) in e2
+                 for r in e1 for a in (0, 1))
+    assert closed == expected
+    assert e_sets_consistent(lad, 1) == expected
+
+
+def test_e_closure_checks_both_sides(monkeypatch):
+    # through compute_E the two sides always agree: U.A + A.U is the same
+    # on both halves, so a word placed at the start of the first half is
+    # placed at the start of the second too.  Given spaces separate them.
+    e_spaces = {1: Subspace.monomial_span(2, 1, [0]),        # x
+                2: Subspace.monomial_span(2, 2, [0, 2])}     # xx, yx
+    monkeypatch.setattr(gsalg.ladder, "compute_E", lambda lad, k: e_spaces[k])
+    assert not e_sets_consistent(build_ladder("trivial", top=2), 1)   # x*y
+    e_spaces[2] = Subspace.monomial_span(2, 2, [0, 1])                 # xx, xy
+    assert not e_sets_consistent(build_ladder("trivial", top=2), 1)   # y*x
+    e_spaces[2] = Subspace.monomial_span(2, 2, [0, 1, 2])
+    assert e_sets_consistent(build_ladder("trivial", top=2), 1)
+
+
+def _brute_independent(stripped, e_space):
+    """No nonempty subset of the stripped words sums into E."""
+    vecs = [1 << w for w in stripped]
+    for mask in range(1, 1 << len(vecs)):
+        total = 0
+        for i, v in enumerate(vecs):
+            if mask >> i & 1:
+                total ^= v
+        if total in e_space:
+            return False
+    return True
+
+
+def _witness_cases():
+    # U(2) = span{xx, xy, yx} as rows: E(1) = span{x}, which holds x = xx/x
+    u1 = [1 << 0, 1 << 1, 1 << 2]
+    yield ladder_from_levels([["x", "y"], ["xx"]], u_spaces={1: _rows(u1, 2)},
+                             verify=False), u1, False
+    # a level that lists xx twice: the two stripped copies of x are dependent
+    twice = Ladder([LadderLevel(0, (0, 1)), LadderLevel(1, (0, 0))])
+    yield twice, _complement_vectors({0}, 2), False
+    lad = build_ladder("trivial", top=2)
+    yield lad, _complement_vectors(set(lad.level(1).words), 2), True
+
+
+@pytest.mark.parametrize("lad, u1, expected", list(_witness_cases()),
+                         ids=["rows-u", "repeated-word", "trivial"])
+def test_witness_verdict_matches_brute_force(lad, u1, expected):
+    rep = survivor_witness(lad, 2)
+    chosen = [w for w in lad.level(1).words if (w & 1) == (rep.letter == "y")]
+    assert len(chosen) == rep.p
+    assert _brute_independent([w >> 1 for w in chosen], _brute_e(u1, 1)) == expected
+    assert rep.independent == expected

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsalg.magnitude import (ComparisonUndecided, Magnitude, MagnitudeError,
-                             bitlen_lt_pow2, log2_bounds, magnitude_cmp)
+import magnitude_oracle as oracle
+from gsalg.magnitude import (EXPONENT_BITS, MATERIALIZE_BITS, ComparisonUndecided,
+                             Magnitude, MagnitudeError, _split_base, bitlen_lt_pow2,
+                             log2_bounds, magnitude_cmp)
 
 
 def test_from_int_canonical_form():
@@ -146,3 +148,104 @@ def test_random_cross_check_with_ints():
         y = rng.randrange(1, 1 << 200)
         got = magnitude_cmp(Magnitude.from_int(x), Magnitude.from_int(y))
         assert got == ((x > y) - (x < y))
+
+
+def test_nested_json_exponent_is_bounded_before_it_is_built():
+    def nested(n):
+        return {"coeff": "1", "factors": [{"base": "3", "exp": {"base": "2", "exp": n}}]}
+
+    assert Magnitude.from_json(nested("1000")) == Magnitude.power(3, 1 << 1000)
+    # 1 << n would take n/8 bytes: refuse before building it
+    for n in ("1000000000000", str(EXPONENT_BITS), "-1"):
+        with pytest.raises(MagnitudeError):
+            Magnitude.from_json(nested(n))
+
+
+# -- the gcd split against the trial-division oracle ---------------------------
+
+def _is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+# primes just below the small-factor bound 2^16, and the first ones above it
+NEAR_BOUND = [p for p in range(60001, 1 << 16, 2) if _is_prime(p)]
+ABOVE_BOUND = [65537, 65539, 65543, 65551]
+LARGE_PRIMES = ABOVE_BOUND + [4294967291, (1 << 61) - 1, 10 ** 20 + 39]
+
+FIXED_SPLITS = [
+    1, 2, 3, 65521, 65535, 65536, 65537, 65539, 65537 ** 2, 65537 * 65539,
+    65521 * 65519, 65521 ** 2, 65521 ** 3 * 65537, 4294967291, (1 << 61) - 1,
+    ((1 << 61) - 1) ** 3, 65537 ** 5, 1 << 100, 3 ** 50 * 65537, 40 ** 12,
+    2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 65521, (65537 * 65539) ** 6,
+]
+
+
+@pytest.mark.parametrize("b", FIXED_SPLITS)
+def test_split_base_fixed_cases(b):
+    assert _split_base(b) == oracle.split_base(b)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 1 << 200))
+def test_split_base_matches_trial_division(b):
+    assert _split_base(b) == oracle.split_base(b)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(NEAR_BOUND + ABOVE_BOUND), st.sampled_from(NEAR_BOUND + ABOVE_BOUND),
+       st.integers(1, 3), st.integers(1, 10 ** 6))
+def test_split_base_near_the_bound(p, q, e, c):
+    # products of two primes close to 2^16, a power, and a small cofactor
+    for b in (p * q, p ** e * q, p * q * c):
+        assert _split_base(b) == oracle.split_base(b)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(LARGE_PRIMES), st.integers(1, 7), st.integers(1, 1000))
+def test_split_base_powers_of_large_primes(p, e, c):
+    for b in (p ** e, c * p ** e):
+        assert _split_base(b) == oracle.split_base(b)
+
+
+SPLIT_BASES = [2, 3, 6, 40, 101, 65521, 65537, 65539, 65537 * 65539,
+               4294967291, (1 << 61) - 1, ((1 << 61) - 1) ** 2]
+
+
+@st.composite
+def magnitude_terms(draw):
+    """(base, exponent, coefficient) for power(base, exp) * from_int(coeff)."""
+    b = draw(st.sampled_from(SPLIT_BASES)) * draw(st.sampled_from([1, 2, 7, 65537]))
+    e = draw(st.one_of(st.integers(0, 40), st.integers(0, 10).map(lambda j: 1 << j)))
+    return b, e, draw(st.integers(1, 10 ** 30))
+
+
+def _both(term):
+    b, e, c = term
+    new = Magnitude.power(b, e).mul(Magnitude.from_int(c))
+    old = oracle.mul(oracle.canonical(1, ((b, e),)), oracle.canonical(c, ()))
+    return new, old, b ** e * c
+
+
+def _form(m):
+    return m.coeff, m.factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(magnitude_terms(), magnitude_terms(),
+       st.lists(st.sampled_from(["mul", "pow2", "pow3", "json"]), max_size=3))
+def test_merged_forms_match_resplit_forms(s, t, ops):
+    a, a_old, x = _both(s)
+    b, b_old, y = _both(t)
+    assert _form(a) == _form(a_old) and _form(b) == _form(b_old)
+    for op in ops:
+        if op == "mul":
+            a, a_old, x = a.mul(b), oracle.mul(a_old, b_old), x * y
+        elif op == "json":
+            a = Magnitude.from_json(a.to_json())
+        else:
+            k = int(op[-1])
+            a, a_old, x = a.pow_int(k), oracle.pow_int(a_old, k), x ** k
+        assert _form(a) == _form(a_old)
+    if a.bits_upper() <= MATERIALIZE_BITS and b.bits_upper() <= MATERIALIZE_BITS:
+        assert a.to_int() == x
+        assert magnitude_cmp(a, b) == (x > y) - (x < y)

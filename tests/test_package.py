@@ -57,3 +57,17 @@ def test_traced_names_resolve():
         for attr in attrs[:-1]:
             owner = getattr(owner, attr)
         assert callable(owner.__dict__.get(attrs[-1])), qualname
+
+
+def test_import_leaves_the_small_prime_table_unbuilt():
+    # the table takes tens of ms to build; it belongs to the first split
+    # of a magnitude base, not to every process that imports gsalg
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import gsalg, gsalg.magnitude as m; "
+            "print(m._small_prime_table.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

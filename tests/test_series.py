@@ -6,8 +6,9 @@ import pytest
 from gsalg.elements import Element
 from gsalg.fields import GF2, GF3, QQ
 from gsalg.parser import parse_expression
-from gsalg.series import (Certificate, DegreeProfile, SearchParams, certify_infinite,
-                          entropy_estimate, gs_check, gs_min_series, hilbert_quotient)
+from gsalg.series import (MAX_GRID_DENOMINATOR, Certificate, DegreeProfile, SearchParams,
+                          certify_infinite, entropy_estimate, gs_check, gs_min_series,
+                          hilbert_quotient)
 from gsalg.words import num_words
 
 
@@ -166,6 +167,7 @@ def test_certificate_search_params():
 @pytest.mark.parametrize("kwargs", [
     {"grid_denominator": -3}, {"grid_denominator": 0}, {"grid_denominator": 1},
     {"grid_denominator": 2.5}, {"grid_denominator": True},
+    {"grid_denominator": MAX_GRID_DENOMINATOR + 1},
     {"boundary_probes": -1}, {"boundary_probes": 1.5},
     {"refine_rounds": -1}, {"refine_rounds": "10"},
 ])
@@ -180,6 +182,7 @@ def test_search_params_edge_values_run():
     assert (cert.t, cert.points_checked) == (Fraction(3, 4), 3)
     bare = SearchParams(grid_denominator=2, boundary_probes=0, refine_rounds=0)
     assert certify_infinite(profile, bare) is None
+    assert SearchParams(grid_denominator=MAX_GRID_DENOMINATOR).grid_denominator == 1 << 16
 
 
 # -- entropy window -------------------------------------------------------
