@@ -93,9 +93,14 @@ def _parse_count(text: str) -> int:
         raise ValueError(f"--at needs an integer or B^K, got {text!r}") from exc
     if k * b.bit_length() > MATERIALIZE_BITS:
         raise ValueError(f"--at {text!r} exceeds the {MATERIALIZE_BITS}-bit budget")
-    if k < 0 or b ** k < 1:
+    n = b ** k if k >= 0 else 0
+    if n < 1:
         raise ValueError(f"--at needs a degree of at least 1, got {text!r}")
-    return b ** k
+    digits = sys.get_int_max_str_digits()
+    if digits and n >= 10 ** digits:
+        raise ValueError(f"--at {text!r} has more than {digits} decimal digits, "
+                         "too many for the report to print")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 Quantities like 40**(8*101**3) or 2**(2**91) cannot be materialized, but
 every comparison the schedule machinery needs can still be decided
-exactly: either both operands fit under a bit budget and are compared as
-integers, or certified rational bounds on their base-2 logarithms are
-refined until the intervals separate.  Equality of structurally distinct
-forms is decided on a canonical prime-split factorization; if nothing
-separates within the refinement budget an error is raised rather than
-ever guessing from floats.  Bases are split by batch trial division (one
-gcd against the product of the primes below 2^16), and only once.
+exactly, by one of two engines.  ``magnitude_cmp`` orders two magnitudes:
+canonical equality, then the integers themselves when both fit
+``MATERIALIZE_BITS``, then certified rational bounds on log2 refined
+until they separate.  ``floor_log2_map(r, f)`` evaluates a monotone f at
+floor(log2(r)), which decides every power-of-two threshold such as
+r < 2**t or r < 2**(2**d); it narrows a bracket on floor(log2(r)) in cost
+order: the exact exponent of an int or a power of two, bit lengths, the
+materialized value, then the same log2 bounds.  If nothing separates
+within the refinement budget ComparisonUndecided is raised rather than
+ever guessing from floats.  Bases are split into a canonical prime-split
+factorization by batch trial division (one gcd against the product of
+the primes below 2^16), and only once.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "ComparisonUndecided",
     "log2_bounds",
     "bitlen_lt_pow2",
+    "floor_log2_map",
     "magnitude_cmp",
 ]
 
@@ -48,7 +54,7 @@ class ComparisonUndecided(MagnitudeError):
 
 
 def log2_bounds(n: int, prec: int) -> Tuple[Fraction, Fraction]:
-    """Certified rationals lo <= log2(n) <= hi with width about 2**(1-prec).
+    """Certified rationals lo <= log2(n) <= hi with hi - lo = 2**-prec.
 
     Exact (lo == hi) when n is a power of two.  Uses fixed-point interval
     squaring, so the cost is polynomial in ``prec`` and never touches the
@@ -60,28 +66,28 @@ def log2_bounds(n: int, prec: int) -> Tuple[Fraction, Fraction]:
     if n == 1 << top:
         return Fraction(top), Fraction(top)
     # each squaring can double the interval width, so guard bits scale
-    # with the digit count
+    # with the digit count; log2(n) is irrational, so enough of them
+    # always pin every digit
     s = 2 * prec + 8
-    lo = (n << s) >> top          # floor of (n / 2**top) * 2**s
-    hi = lo + 1
-    acc_lo = Fraction(0)
-    acc_hi = Fraction(0)
-    w = Fraction(1)
-    two = 1 << (s + 1)
-    for _ in range(prec):
-        lo = (lo * lo) >> s
-        hi = (hi * hi + (1 << s) - 1) >> s
-        w /= 2
-        if lo >= two:
-            acc_lo += w
-            acc_hi += w
-            lo >>= 1
-            hi >>= 1
-        elif hi >= two:
-            # Interval straddles 2: remaining digits contribute somewhere
-            # in [0, 2w].  Sound early exit.
-            return Fraction(top) + acc_lo, Fraction(top) + acc_hi + 2 * w
-    return Fraction(top) + acc_lo, Fraction(top) + acc_hi + w
+    while True:
+        lo = (n << s) >> top          # floor of (n / 2**top) * 2**s
+        hi = lo + 1
+        two = 1 << (s + 1)
+        digits = 0
+        for _ in range(prec):
+            lo = (lo * lo) >> s
+            hi = (hi * hi + (1 << s) - 1) >> s
+            digits <<= 1
+            if lo >= two:
+                digits |= 1
+                lo >>= 1
+                hi >>= 1
+            elif hi >= two:
+                break                 # straddles 2: retry with more guard bits
+        else:
+            lo = (top << prec) + digits
+            return Fraction(lo, 1 << prec), Fraction(lo + 1, 1 << prec)
+        s *= 2
 
 
 def _iroot(n: int, k: int) -> int:
@@ -111,10 +117,7 @@ def _split_base(b: int) -> list[tuple[int, int]]:
         elif g % p:
             continue
         g //= p
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
+        e, m = _multiplicity(m, p)
         out.append((p, e))
     if m > 1:
         # no prime below the bound divides m, and 2^16 + 1 is prime
@@ -132,6 +135,22 @@ def _split_base(b: int) -> list[tuple[int, int]]:
             else:
                 out.append((m, 1))
     return out
+
+
+def _multiplicity(m: int, p: int) -> tuple[int, int]:
+    """(e, m // p**e) for the largest e with p**e dividing m.
+
+    Odd p recurses on p*p, so m is divided by p^(2^i) and the cost is
+    logarithmic in e, not linear."""
+    if p == 2:
+        e = (m & -m).bit_length() - 1
+        return e, m >> e
+    if m % p:
+        return 0, m
+    e, m = _multiplicity(m // p, p * p)
+    if m % p == 0:
+        return 2 * e + 2, m // p
+    return 2 * e + 1, m
 
 
 @functools.cache
@@ -242,21 +261,7 @@ class Magnitude:
 
     def log2_floor(self) -> int:
         """Exact floor(log2(value))."""
-        if self.is_power_of_two():
-            return sum(e for _, e in self.factors)
-        if self.bits_upper() <= MATERIALIZE_BITS:
-            return self.to_int().bit_length() - 1
-        prec = _PREC_START
-        while prec <= _PREC_LIMIT:
-            lo, hi = self.log2_interval(prec)
-            flo, fhi = lo.__floor__(), hi.__floor__()
-            if flo == fhi:
-                return flo
-            # value could still be an exact power of two at the boundary,
-            # but non-2-smooth factors make log2 irrational, so refinement
-            # must eventually separate.
-            prec *= 4
-        raise ComparisonUndecided("log2 floor not pinned within budget")
+        return floor_log2_map(self, lambda L: L)
 
     def bit_length(self) -> int:
         return self.log2_floor() + 1
@@ -362,22 +367,37 @@ def bitlen_lt_pow2(r: Union[Magnitude, int], t: int) -> bool:
 
     For integer r this is the identity r < 2**t  <=>  bit_length(r) <= t.
     """
-    if t < 0:
-        return False
+    return t >= 0 and floor_log2_map(r, lambda L: L < t)
+
+
+def floor_log2_map(r: Union[Magnitude, int], f):
+    """f(floor(log2(r))) for a positive r and a monotone f, decided exactly.
+
+    L = floor(log2(r)) is bracketed in [lo, hi], and the bracket narrows in
+    cost order until f(lo) == f(hi): exact for ints and powers of two, then
+    bit lengths, then the value itself when it fits MATERIALIZE_BITS, then
+    log2 intervals refined up to _PREC_LIMIT digits.  r is never a power of
+    two by then, so log2(r) is irrational and refinement only runs out on
+    its budget, raising ComparisonUndecided.
+    """
     if isinstance(r, int):
         if r < 1:
             raise MagnitudeError("r must be a positive integer")
-        return r.bit_length() <= t
+        return f(r.bit_length() - 1)
     if r.is_power_of_two():
-        return r.log2_floor() < t
-    if r.bits_upper() <= MATERIALIZE_BITS:
-        return r.to_int().bit_length() <= t
+        return f(sum(e for _, e in r.factors))
+    lo = r.coeff.bit_length() - 1 + sum(e * (b.bit_length() - 1)
+                                        for b, e in r.factors)
+    hi = r.bits_upper() - 1
+    if f(lo) == f(hi):
+        return f(lo)
+    if hi < MATERIALIZE_BITS:
+        return f(r.to_int().bit_length() - 1)
     prec = _PREC_START
     while prec <= _PREC_LIMIT:
-        lo, hi = r.log2_interval(prec)
-        if hi < t:
-            return True
-        if lo > t:
-            return False
+        ilo, ihi = r.log2_interval(prec)
+        lo, hi = max(lo, ilo.__floor__()), min(hi, ihi.__floor__())
+        if f(lo) == f(hi):
+            return f(lo)
         prec *= 4
-    raise ComparisonUndecided("bit-length comparison not separated within budget")
+    raise ComparisonUndecided("log2 floor not pinned within budget")

@@ -3,16 +3,18 @@
 Relation degrees are grouped into dyadic windows (2^n, 2^(n+1)]; the
 window counts r_n drive everything else: hypothesis validation, the
 per-level exponent schedule e(n), and upper/lower dimension bounds.
-All comparisons are exact, over plain integers or Magnitudes.
+All comparisons are exact, over plain integers or Magnitudes; this module
+decides none itself.  Power-of-two thresholds go through
+``magnitude.floor_log2_map`` (or ``bitlen_lt_pow2``) and everything else
+through ``magnitude_cmp``.
 """
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .limits import CapacityError
-from .magnitude import (MATERIALIZE_BITS, ComparisonUndecided, Magnitude,
-                        MagnitudeError, bitlen_lt_pow2, log2_bounds,
-                        magnitude_cmp)
+from .magnitude import (Magnitude, MagnitudeError, bitlen_lt_pow2,
+                        floor_log2_map, magnitude_cmp)
 
 __all__ = [
     "ScheduleError",
@@ -58,82 +60,40 @@ def _as_mag(r: Count) -> Magnitude:
     return Magnitude.from_int(r) if isinstance(r, int) else r
 
 
-def _int_lt_pow2(x: int, d: int) -> bool:
-    """x < 2**d for x >= 1, without forming 2**d."""
-    return d >= 0 and x.bit_length() <= d
-
-
-def _int_le_pow2(x: int, d: int) -> bool:
-    if _int_lt_pow2(x, d):
-        return True
-    return d >= 0 and x & (x - 1) == 0 and x.bit_length() == d + 1
+def _exact_log2(r: Count) -> Optional[int]:
+    """log2(r) when r is a power of two, else None."""
+    if isinstance(r, int):
+        return r.bit_length() - 1 if r > 0 and r & (r - 1) == 0 else None
+    return r.log2_floor() if r.is_power_of_two() else None
 
 
 def _le_pow2(r: Count, t: int) -> bool:
     """r <= 2**t."""
-    if t >= 0 and bitlen_lt_pow2(r, t):
-        return True
-    if isinstance(r, int):
-        return t >= 0 and r & (r - 1) == 0 and r.bit_length() == t + 1
-    return r.is_power_of_two() and r.log2_floor() == t
+    return bitlen_lt_pow2(r, t) or _exact_log2(r) == t
 
 
 def _lt_pow2pow(r: Count, d: int) -> bool:
     """r < 2**(2**d); d may be negative or far too large to expand."""
-    if d < 0:
-        # 2^(2^d) lies strictly between 1 and 2, so only r = 1 fits under it
-        return _is_one(r)
-    if d <= 40:
-        return bitlen_lt_pow2(r, 1 << d)
-    if isinstance(r, int):
-        return _int_le_pow2(r.bit_length(), d)
-    if r.is_power_of_two():
-        return _int_lt_pow2(r.log2_floor(), d)
-    if _int_le_pow2(r.bits_upper(), d):
-        return True
-    prec = 64
-    while prec <= 1 << 13:
-        lo, hi = r.log2_interval(prec)
-        if _int_le_pow2(hi.__floor__() + 1, d):
-            return True
-        g = lo.__floor__()
-        if g >= 1 and not _int_lt_pow2(g, d):
-            return False
-        prec *= 4
-    raise ComparisonUndecided("double-exponential comparison not separated")
+    # for d <= 0, 2^(2^d) lies in (1, 2], so only r = 1 (L = 0) fits under it
+    return floor_log2_map(r, lambda L: L.bit_length() <= max(d, 0))
 
 
 def _le_pow2pow(r: Count, d: int) -> bool:
     """r <= 2**(2**d)."""
-    if _lt_pow2pow(r, d):
-        return True
-    if d < 0:
-        return False
-    if isinstance(r, int):
-        if r & (r - 1):
-            return False
-        lg = r.bit_length() - 1
-    else:
-        if not r.is_power_of_two():
-            return False
-        lg = r.log2_floor()
-    return lg >= 1 and lg & (lg - 1) == 0 and lg.bit_length() == d + 1
+    lg = _exact_log2(r)
+    # equality needs log2(r) = 2^d, the power of two with d + 1 bits
+    return _lt_pow2pow(r, d) or (
+        lg is not None and lg & (lg - 1) == 0 and lg.bit_length() == d + 1)
 
 
 # -- profiles -----------------------------------------------------------
 
 def window_of(deg: Count) -> int:
     """Index n of the dyadic window (2^n, 2^(n+1)] containing a degree."""
-    if isinstance(deg, int):
-        if deg < 2:
-            raise ScheduleError("degrees must be at least 2")
-        return (deg - 1).bit_length() - 1
-    if deg.is_power_of_two():
-        s = deg.log2_floor()
-        if s < 1:
-            raise ScheduleError("degrees must be at least 2")
-        return s - 1
-    return deg.log2_floor()
+    if isinstance(deg, int) and deg < 2 or _is_one(deg):
+        raise ScheduleError("degrees must be at least 2")
+    # a power of two closes the window below its floor(log2)
+    return floor_log2_map(deg, lambda L: L) - (_exact_log2(deg) is not None)
 
 
 @dataclass(frozen=True)
@@ -372,22 +332,10 @@ def validate_profile(profile: DyadicProfile,
 
 def bracket_exponent(r: Count) -> int:
     """The unique e with 2^(2^(e-3)) <= r < 2^(2^(e-2))."""
-    if isinstance(r, int):
-        if r < 2:
-            raise ScheduleError("no bracketing exponent for counts below 2")
-        return (r.bit_length() - 1).bit_length() + 2
-    if _is_one(r):
+    if isinstance(r, int) and r < 2 or _is_one(r):
         raise ScheduleError("no bracketing exponent for counts below 2")
-    if r.is_power_of_two():
-        return r.log2_floor().bit_length() + 2
-    if r.bits_upper() <= MATERIALIZE_BITS:
-        return bracket_exponent(r.to_int())
-    lo, _ = r.log2_interval(64)
-    est = max(3, int(lo).bit_length() + 2)
-    for e in range(max(3, est - 2), est + 4):
-        if not _lt_pow2pow(r, e - 3) and _lt_pow2pow(r, e - 2):
-            return e
-    raise ComparisonUndecided("bracketing exponent not separated")
+    # 2^(e-3) <= floor(log2 r) < 2^(e-2)
+    return floor_log2_map(r, int.bit_length) + 2
 
 
 @dataclass(frozen=True)
@@ -575,21 +523,13 @@ def check_cumulative_gap(profile: DyadicProfile) -> bool:
 
 def _half_exact(m: Magnitude) -> Optional[Magnitude]:
     """m / 2 as a Magnitude, or None when m is odd."""
-    co, fac = m.coeff, list(m.factors)
-    if co % 2 == 0:
-        co //= 2
-    else:
-        for i, (b, ex) in enumerate(fac):
-            if b == 2:
-                fac[i] = (2, ex - 1)
-                break
-        else:
-            return None
-    out = Magnitude.from_int(co)
-    for b, ex in fac:
-        if ex:
-            out = out.mul(Magnitude.power(b, ex))
-    return out
+    # a canonical coefficient has no prime below 2^16, so it is odd, and
+    # taking one 2 off the factor list leaves the form canonical
+    fac = dict(m.factors)
+    if 2 not in fac:
+        return None
+    fac[2] -= 1
+    return Magnitude(m.coeff, tuple((b, e) for b, e in sorted(fac.items()) if e))
 
 
 @dataclass
@@ -735,7 +675,7 @@ def tower_profile(count: int) -> Tuple[DyadicProfile, Schedule, Dict[int, int]]:
     counts: Dict[int, Count] = {}
     degrees: List[Tuple[Count, Count]] = []
     for m in ms:
-        if not (m > 100 and _int_lt_pow2(m ** 3, m // 2 - 4)):
+        if not (m > 100 and bitlen_lt_pow2(m ** 3, m // 2 - 4)):
             raise ScheduleError(f"staircase side condition fails at {m}")
         r = Magnitude.power(40, 8 * m ** 3)
         counts[m] = r
@@ -790,23 +730,15 @@ def exponential_exceeds_quasipoly(c_num: int = 1025, c_den: int = 1024,
     """Certify (c_num/c_den)^n > 2^(cube_coeff * log2(n)^3) at n = 2^log_n.
 
     Any exponential with base above 1 escapes the quasi-polynomial class;
-    this pins a concrete instance with certified log bounds.
+    this pins a concrete instance with one exact magnitude comparison.
     """
     if c_num <= c_den or c_den < 1:
         raise ValueError("the base must exceed 1")
+    n = 1 << log_n
     rhs = cube_coeff * log_n ** 3
-    prec = 64
-    while prec <= 1 << 13:
-        nlo, nhi = log2_bounds(c_num, prec)
-        dlo, dhi = log2_bounds(c_den, prec)
-        lo = (nlo - dhi) * (1 << log_n)
-        hi = (nhi - dlo) * (1 << log_n)
-        if lo > rhs:
-            return True
-        if hi <= rhs:
-            return False
-        prec *= 4
-    raise ComparisonUndecided("exponential comparison not separated")
+    lhs = Magnitude.power(c_num, n).mul(Magnitude.pow2(max(0, -rhs)))
+    return magnitude_cmp(lhs, Magnitude.power(c_den, n).mul(
+        Magnitude.pow2(max(0, rhs)))) > 0
 
 
 # -- random valid profiles ------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -236,6 +237,26 @@ def test_bounds_refuses_degrees_over_the_bit_budget(capsys, tmp_path, at):
     assert code == 2
     assert out == ""
     assert repr(at) in err and "bit budget" in err
+
+
+def test_bounds_refuses_degrees_the_report_cannot_print(capsys, tmp_path):
+    # 2^14000 has 4215 decimal digits and 2^15000 has 4516, over the default
+    # limit of 4300 that str() enforces on ints
+    f = tmp_path / "prof.json"
+    f.write_text(json.dumps({"levels": [{"n": 8, "r": "65536"}]}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, data = run_json(capsys, "bounds", "--profile", str(f),
+                              "--at", "2^14000", "--json")
+        assert code == 0 and data["report"]["bounds"]["n"] == str(1 << 14000)
+        code, out, err = run(capsys, "bounds", "--profile", str(f),
+                             "--at", "2^15000", "--json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert "--at '2^15000' has more than 4300 decimal digits" in err
 
 
 @pytest.mark.parametrize("command", ["schedule", "bounds"])

@@ -112,6 +112,27 @@ def test_log2_bounds_bracket_property(n, prec):
     assert n ** hi.denominator <= 2 ** hi.numerator
 
 
+# n close to sqrt(2) * 2^top: log2(n) has a long run of equal digits early on,
+# which the interval squaring cannot split without more guard bits
+NEAR_SQRT2 = [round(math.sqrt(2) * (1 << top)) for top in range(10, 40)]
+
+
+@settings(max_examples=80)
+@given(st.one_of(st.integers(2, 1 << 200), st.sampled_from(NEAR_SQRT2)),
+       st.integers(1, 10))
+def test_log2_bounds_are_dyadic_with_the_full_width(n, prec):
+    lo, hi = log2_bounds(n, prec)
+    for x in (lo, hi):
+        d = x.denominator
+        assert d & (d - 1) == 0 and d <= 1 << prec
+    if n & (n - 1):
+        assert hi - lo == Fraction(1, 1 << prec)
+    else:
+        assert lo == hi == n.bit_length() - 1
+    assert 2 ** lo.numerator <= n ** lo.denominator
+    assert n ** hi.denominator <= 2 ** hi.numerator
+
+
 def test_json_round_trip():
     for m in (Magnitude.from_int(12), Magnitude.power(40, 8 * 101 ** 3),
               Magnitude.pow2(1 << 20)):
@@ -249,3 +270,19 @@ def test_merged_forms_match_resplit_forms(s, t, ops):
     if a.bits_upper() <= MATERIALIZE_BITS and b.bits_upper() <= MATERIALIZE_BITS:
         assert a.to_int() == x
         assert magnitude_cmp(a, b) == (x > y) - (x < y)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([2, 3, 5, 7, 251, 65521]), st.integers(1, 600),
+       st.sampled_from([1, 11, 13 * 17, 65537, 4294967291]))
+def test_split_base_prime_powers(p, e, c):
+    # the multiplicity comes from dividing by p^(2^i), not once per unit
+    b = p ** e * (c if c % p else 1)
+    assert _split_base(b) == oracle.split_base(b)
+
+
+def test_split_base_large_prime_powers():
+    assert _split_base(40 ** 30000) == [(2, 90000), (5, 30000)]
+    assert _split_base(3 ** 60000) == [(3, 60000)]
+    assert _split_base(1 << 400000) == [(2, 400000)]
+    assert _split_base(7 ** 5000 * 65537) == [(7, 5000), (65537, 1)]
