@@ -6,19 +6,19 @@ Four implementations, picked by field and problem size:
   rows stored as Python ints (bit j = coordinate j, pivot = lowest set
   bit).  Exact, unbounded width, ideal for subspace bookkeeping.
 * :func:`rref_gf2` -- bulk GF(2) elimination on numpy uint64 words, 64
-  coordinates per lane, for the big spans in Hilbert series and
-  truncated-ideal computations.
+  coordinates per lane.  It steps from pivot to pivot, skipping the
+  columns that are empty below the current rank.
 * :func:`rref_modp` -- dense elimination over GF(p), p < 2**31, on
   int64 matrices.
 * :class:`SparseBasis` -- incremental reduction with sparse
   Fraction-valued rows for exact rational runs.
 
-Homogeneous ideal layers, for both Hilbert series and truncated ideals,
-come from one builder, :func:`gsalg.series.ideal_layers`: it reduces each
-layer with ``rref_gf2`` over GF(2), ``rref_modp`` over GF(p) and
-``SparseBasis`` over QQ.  Mixed-degree truncated ideals (:mod:`gsalg.quotient`)
-use ``BitBasis``, ``SparseBasis``, and the float64 block engine there for
-p >= 3, whose blocks of at most 64 rows bottom out in ``rref_modp``.
+Homogeneous ideal layers, for Hilbert series and truncated ideals, come
+from :func:`gsalg.series.ideal_layers`, which seeds each layer with its
+letter copies and eliminates the relation residuals with ``rref_gf2`` over
+GF(2), ``rref_modp`` over GF(p) and ``SparseBasis`` over QQ.  Mixed-degree
+ideals (:mod:`gsalg.quotient`) use ``BitBasis``, ``SparseBasis``, and the
+float64 block engine there for p >= 3, whose 64-row blocks end in ``rref_modp``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "BitBasis",
     "SparseBasis",
-    "pack_gf2",
     "rref_gf2",
     "rref_modp",
     "bit_indices",
@@ -149,36 +148,30 @@ def product_bits(v: int, w: int, width2: int) -> int:
 # GF(2), packed numpy
 
 
-def pack_gf2(rows: np.ndarray) -> np.ndarray:
-    """Pack a (m, ncols) 0/1 array into (m, ceil(ncols/64)) uint64 words."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return packed.view(np.uint64)
-
-
 def rref_gf2(mat: np.ndarray, ncols: int) -> Tuple[int, List[int]]:
     """In-place RREF of a packed GF(2) matrix; returns (rank, pivot columns).
 
     Columns are eliminated in increasing index order, so pivot columns
-    are the lexicographically earliest spanning set.
+    are the lexicographically earliest spanning set.  Rows from ``rank`` on
+    are zero left of the last pivot, so the next pivot column is the lowest
+    set bit of their OR, taken one word at a time: the loop runs once per
+    pivot or empty word, not once per column.
     """
-    m = mat.shape[0]
+    m, words = mat.shape
     rank = 0
     pivots: List[int] = []
-    for c in range(ncols):
-        if rank == m:
-            break
-        w = c >> 6
-        b = np.uint64(c & 63)
-        one = np.uint64(1)
-        col = (mat[rank:, w] >> b) & one
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+    one = np.uint64(1)
+    w = 0
+    while rank < m and w < words:
+        word = int(np.bitwise_or.reduce(mat[rank:, w]))
+        if word == 0:
+            w += 1
             continue
-        p = rank + int(nz[0])
+        c = 64 * w + (word & -word).bit_length() - 1
+        if c >= ncols:
+            break
+        b = np.uint64(c & 63)
+        p = rank + int(np.flatnonzero((mat[rank:, w] >> b) & one)[0])
         if p != rank:
             mat[[rank, p]] = mat[[p, rank]]
         hits = np.nonzero((mat[:, w] >> b) & one)[0]

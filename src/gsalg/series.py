@@ -23,7 +23,7 @@ import numpy as np
 from .elements import Element
 from .fields import GF2, Field
 from .limits import require_capacity
-from .linalg import SparseBasis, rref_gf2, rref_modp
+from .linalg import SparseBasis, bit_indices, rref_gf2, rref_modp
 
 __all__ = [
     "DegreeProfile",
@@ -275,11 +275,16 @@ def ideal_layers(relations: Sequence[Element], n_max: int, d: int, fld: Field):
     The degree-n layer is built incrementally as
     letter * layer(n-1) + sum_f f * A(n - deg f), which spans the same
     space as all u*f*v and keeps row counts near the ambient dimension.
+    The d letter copies of the reduced layer(n-1) lie in disjoint column
+    blocks, so they seed the layer already reduced.  A seed row is zero at
+    the other seed pivots, so each relation row is reduced against the seed
+    at its own terms only; the nonzero residuals are eliminated and their
+    few new pivots cleared from the seed rows.
     Iteration stops after degree n_max, or after the first full layer since
     every later one is full too.  Each basis is the layer's reduced row
     echelon form over word indices: int rows (bit j = word j, pivot = lowest
-    set bit) over GF(2), an (int64 rows, pivot columns) pair over GF(p), a
-    SparseBasis over QQ.
+    set bit) over GF(2), an (int64 rows, pivot columns) pair over GF(p), both
+    in pivot order, and a SparseBasis over QQ.
     """
     by_degree: Dict[int, List[List[Tuple[int, object]]]] = {}
     for f in relations:
@@ -297,29 +302,46 @@ def ideal_layers(relations: Sequence[Element], n_max: int, d: int, fld: Field):
             return
 
 
-def _gf2_layers(by_degree, n_max: int, d: int):
-    basis_rows: List[int] = []
-    for n in range(1, n_max + 1):
-        ncols = d ** n
-        require_capacity(ncols * (len(basis_rows) * d + 4) // 4,
-                         f"ideal layer in degree {n}")
-        rows: List[int] = []
-        block = d ** (n - 1)
-        for b in basis_rows:
-            for letter in range(d):
-                rows.append(b << (letter * block))
-        for m, fs in by_degree.items():
-            if m > n:
-                continue
-            shift = d ** (n - m)
+def _relation_rows(by_degree, n: int, d: int):
+    """One (count, terms) block per relation f: row v < count, f times the v-th
+    word of degree n - deg f, holds c at column col + v for each (col, c)."""
+    for m, fs in by_degree.items():
+        if m <= n:
+            count = d ** (n - m)
             for terms in fs:
-                spread = 0
-                for w, _ in terms:
-                    spread |= 1 << (w * shift)
-                for u in range(shift):
-                    rows.append(spread << u)
-        rank, basis_rows = _gf2_reduce_rows(rows, ncols)
-        yield rank, basis_rows
+                yield count, [(w * count, c) for w, c in terms]
+
+
+def _gf2_layers(by_degree, n_max: int, d: int):
+    prev: Dict[int, int] = {}                # pivot column -> row of layer(n-1)
+    for n in range(1, n_max + 1):
+        ncols, block = d ** n, d ** (n - 1)
+        require_capacity(ncols * (len(prev) * d + 4) // 4,
+                         f"ideal layer in degree {n}")
+        residuals: List[int] = []
+        for count, terms in _relation_rows(by_degree, n, d):
+            spread = sum(1 << col for col, _ in terms)
+            for v in range(count):
+                row = spread << v
+                for col, _ in terms:
+                    j = (col + v) % block        # the column within its letter block
+                    if j in prev:
+                        row ^= prev[j] << (col + v - j)
+                if row:
+                    residuals.append(row)
+        new = {(row & -row).bit_length() - 1: row
+               for row in _gf2_reduce_rows(residuals, ncols)[1]}
+        mask = sum(1 << q for q in new)
+        layer: Dict[int, int] = dict(new)
+        for off in range(0, ncols, block):
+            for j, row in prev.items():
+                row <<= off
+                if row & mask:
+                    for q in bit_indices(row & mask):
+                        row ^= new[q]
+                layer[j + off] = row
+        prev = dict(sorted(layer.items()))
+        yield len(prev), list(prev.values())
 
 
 def _gf2_reduce_rows(rows: List[int], ncols: int) -> Tuple[int, List[int]]:
@@ -335,58 +357,68 @@ def _gf2_reduce_rows(rows: List[int], ncols: int) -> Tuple[int, List[int]]:
 
 
 def _qq_layers(by_degree, n_max: int, d: int):
-    basis: List[Dict[int, Fraction]] = []
+    sb = SparseBasis()
     for n in range(1, n_max + 1):
-        sb = SparseBasis()
-        block = d ** (n - 1)
-        for row in basis:
-            for letter in range(d):
-                off = letter * block
-                sb.insert({c + off: v for c, v in row.items()})
-        for m, fs in by_degree.items():
-            if m > n:
-                continue
-            shift = d ** (n - m)
-            for terms in fs:
-                base = {w * shift: c for w, c in terms}
-                for u in range(shift):
-                    sb.insert({c + u: v for c, v in base.items()})
-        basis = list(sb.rows.values())
+        prev, sb, block = sb, SparseBasis(), d ** (n - 1)
+        for j, row in prev.rows.items():
+            for off in range(0, d * block, block):
+                sb.rows[j + off] = {c + off: v for c, v in row.items()}
+        for count, terms in _relation_rows(by_degree, n, d):
+            for v in range(count):
+                sb.insert({col + v: c for col, c in terms})
         yield sb.rank, sb
 
 
 def _modp_layers(by_degree, n_max: int, d: int, p: int):
-    basis_mat = np.zeros((0, 1), dtype=np.int64)
+    """Seeded layers over GF(p).  A seed row is 1 at its pivot and 0 at the
+    other seed pivots, where every residual is 0, so both are held by the
+    columns the seed leaves free."""
+    # the back-substitution sums at most `step` products of two residues in
+    # one int64 entry, exact while step * (p - 1)**2 < 2**63
+    step = ((1 << 63) - 1) // (p - 1) ** 2
+    prev, prev_piv = np.zeros((0, 1), dtype=np.int64), []
     for n in range(1, n_max + 1):
-        ncols = d ** n
-        require_capacity(ncols * 8 * (basis_mat.shape[0] * d + 4),
+        ncols, block = d ** n, d ** (n - 1)
+        k, rel = d * len(prev_piv), sum(count for count, _ in _relation_rows(by_degree, n, d))
+        # held at once: layer(n-1) and the merged layer, full width; over the
+        # free columns, the seed, the back-substitution copy and update of
+        # its rows, the relation block and the residuals
+        require_capacity(8 * (k * ncols // d ** 2 + ncols * min(ncols, k + rel)
+                              + (3 * k + 2 * rel) * (ncols - k)),
                          f"ideal layer in degree {n}")
-        rows: List[np.ndarray] = []
-        block = d ** (n - 1)
-        for b in basis_mat:
-            for letter in range(d):
-                row = np.zeros(ncols, dtype=np.int64)
-                row[letter * block:(letter + 1) * block] = b
-                rows.append(row)
-        for m, fs in by_degree.items():
-            if m > n:
-                continue
-            shift = d ** (n - m)
-            for terms in fs:
-                cols = [w * shift for w, _ in terms]
-                vals = [c for _, c in terms]
-                for u in range(shift):
-                    row = np.zeros(ncols, dtype=np.int64)
-                    row[[c + u for c in cols]] = vals
-                    rows.append(row)
-        if rows:
-            mat = np.vstack(rows)
-            rank, pivots = rref_modp(mat, p)
-            basis_mat = mat[:rank]
-        else:
-            rank, pivots = 0, []
-            basis_mat = np.zeros((0, ncols), dtype=np.int64)
-        yield rank, (basis_mat, pivots)
+        free = np.delete(np.arange(block), prev_piv)
+        cols = (np.arange(0, ncols, block)[:, None] + free).ravel()
+        seed_piv = [j + off for off in range(0, ncols, block) for j in prev_piv]
+        seed = np.kron(np.eye(d, dtype=np.int64), prev[:, free])
+        to_free, to_seed = np.full(ncols, -1), np.full(ncols, -1)
+        to_free[cols], to_seed[seed_piv] = np.arange(cols.size), np.arange(k)
+        residuals = [np.zeros((0, cols.size), dtype=np.int64)]
+        for count, terms in _relation_rows(by_degree, n, d):
+            rows = np.zeros((count, cols.size), dtype=np.int64)
+            for col, c in terms:
+                at = to_free[col:col + count]
+                rows[np.flatnonzero(at >= 0), at[at >= 0]] = c
+            for col, c in terms:
+                at = to_seed[col:col + count]
+                hit = np.flatnonzero(at >= 0)
+                rows[hit] = (rows[hit] - c * seed[at[hit]]) % p
+            residuals.append(rows[rows.any(axis=1)])
+        mat = np.vstack(residuals)
+        rank, new = rref_modp(mat, p)
+        for lo in range(0, rank, step):
+            q = new[lo:lo + step]
+            assert len(q) * (p - 1) ** 2 < 1 << 63
+            hit = np.flatnonzero(seed[:, q].any(axis=1))
+            seed[hit] = (seed[hit] - seed[np.ix_(hit, q)] @ mat[lo:lo + len(q)]) % p
+        new_piv = cols[new].tolist()
+        piv = sorted(seed_piv + new_piv)
+        out = np.zeros((len(piv), ncols), dtype=np.int64)
+        at = np.searchsorted(piv, seed_piv)
+        out[at, seed_piv] = 1
+        out[np.ix_(at, cols)] = seed
+        out[np.ix_(np.searchsorted(piv, new_piv), cols)] = mat[:rank]
+        prev, prev_piv = out, piv
+        yield len(piv), (out, piv)
 
 
 # ---------------------------------------------------------------------

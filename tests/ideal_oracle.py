@@ -13,7 +13,17 @@ from fractions import Fraction
 import numpy as np
 
 from gsalg.elements import Element
-from gsalg.linalg import SparseBasis, pack_gf2, rref_gf2, rref_modp
+from gsalg.linalg import BitBasis, SparseBasis, rref_gf2, rref_modp
+
+
+def pack_gf2(rows):
+    """Pack a (m, ncols) 0/1 array into (m, ceil(ncols/64)) uint64 words, bit j = column j."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    pad = (-packed.shape[1]) % 8
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    return packed.view(np.uint64)
 
 
 def ufv_rows(relations, n, j, fld):
@@ -53,6 +63,29 @@ def rank(mat, fld):
     if fld.is_gf2:
         return rref_gf2(pack_gf2(mat), mat.shape[1])[0]
     return rref_modp(mat.copy(), fld.char)[0]
+
+
+def rref(mat, fld):
+    """The reduced row echelon form of mat's row space, as dense rows of ints
+    (Fractions over QQ) in pivot order.
+
+    GF(2) goes through ``BitBasis``, which the layer builder does not use;
+    GF(p) through ``rref_modp`` and QQ through ``SparseBasis``, each on the
+    whole u*f*v matrix at once.
+    """
+    ncols = mat.shape[1]
+    if fld.is_gf2:
+        basis = BitBasis()
+        basis.extend(sum(1 << int(c) for c in np.flatnonzero(row)) for row in mat)
+        return [[(r >> c) & 1 for c in range(ncols)] for r in basis.basis()]
+    if fld.is_rational:
+        basis = SparseBasis()
+        for row in mat:
+            basis.insert({c: Fraction(v) for c, v in enumerate(row) if v})
+        return [[basis.rows[p].get(c, 0) for c in range(ncols)] for p in basis.pivots()]
+    mat = mat.copy()
+    rank, _ = rref_modp(mat, fld.char)
+    return mat[:rank].tolist()
 
 
 def span_dims(relations, n, D, fld):

@@ -190,6 +190,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "column" in err
 
 
+def test_hilbert_reaches_degree_14_under_the_default_budget(capsys, rel_yx, monkeypatch):
+    # fourteen seeded layers under the default 512 MiB; degree 16 is still refused
+    monkeypatch.delenv("GSALG_MEMORY_LIMIT_MB", raising=False)
+    code, data = run_json(capsys, "hilbert", "--relations", rel_yx, "--max-degree", "14",
+                          "--json")
+    assert code == 0
+    assert data["report"]["series"] == list(range(2, 16))
+    code, out, err = run(capsys, "hilbert", "--relations", rel_yx, "--max-degree", "16")
+    assert code == 2 and out == ""
+    assert "ideal layer in degree 16 needs about" in err
+
+
 def test_negative_max_degree_exit_code(capsys):
     code, out, err = run(capsys, "hilbert", "--max-degree", "-3", "--json")
     assert code == 2

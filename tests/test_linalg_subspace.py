@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from gsalg.elements import Element
 from gsalg.limits import CapacityError
 from gsalg.linalg import (BitBasis, SparseBasis, bit_indices, intersect_bitspaces,
-                          pack_gf2, product_bits, rref_gf2, rref_modp)
+                          product_bits, rref_gf2, rref_modp)
 from gsalg.subspace import GENERAL_DEGREE_CAP, Subspace
+
+from ideal_oracle import pack_gf2
 
 
 def gf2_span(vectors):
@@ -110,6 +112,30 @@ def test_rref_gf2_rank_matches_oracle(nrows, ncols, seed):
     assert (1 << rank) == len(span)
     assert rank == rref_gf2(pack_gf2(mat), ncols)[0]
     assert sorted(pivots) == pivots and len(set(pivots)) == len(pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 300), st.floats(0.01, 0.6),
+       st.integers(0, 10 ** 9))
+def test_rref_gf2_equals_the_bitbasis_rref(nrows, ncols, density, seed):
+    # rows span several uint64 words; some columns are forced empty, and
+    # duplicate and zero rows are mixed in
+    rng = random.Random(seed)
+    empty = set(rng.sample(range(ncols), rng.randint(0, ncols // 2)))
+    rows = [sum(1 << c for c in range(ncols) if c not in empty and rng.random() < density)
+            for _ in range(nrows)]
+    rows[rng.randrange(nrows)] = 0
+    rows += [rng.choice(rows) for _ in range(rng.randint(0, 150 - nrows) // 4)]
+    rng.shuffle(rows)
+    mat = pack_gf2(np.array([[(r >> c) & 1 for c in range(ncols)] for r in rows],
+                            dtype=np.uint8))
+    rank, pivots = rref_gf2(mat, ncols)
+    oracle = BitBasis()
+    oracle.extend(rows)
+    assert rank == oracle.rank
+    assert pivots == oracle.pivots()
+    assert [int.from_bytes(mat[i].tobytes(), "little") for i in range(rank)] == oracle.basis()
+    assert not mat[rank:].any()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,15 +1,19 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from gsalg import series
 from gsalg.elements import Element
-from gsalg.fields import GF2, GF3, QQ
+from gsalg.fields import GF2, GF3, QQ, Field
 from gsalg.parser import parse_expression
 from gsalg.series import (MAX_GRID_DENOMINATOR, Certificate, DegreeProfile, SearchParams,
                           certify_infinite, entropy_estimate, gs_check, gs_min_series,
-                          hilbert_quotient)
+                          hilbert_quotient, ideal_layers)
 from gsalg.words import num_words
+
+import ideal_oracle
 
 
 def random_homogeneous(rng, d=2, max_relations=3, max_degree=5):
@@ -127,6 +131,82 @@ def test_min_series_clamps_at_zero():
     assert c[0] == 1 and c[1] == 2
     assert c[2] == 0            # max(0, 4 - 5) clamped
     assert all(v >= 0 for v in c)
+
+
+# -- ideal layers ---------------------------------------------------------
+
+def random_weighted(rng, d, max_relations, max_degree):
+    """Homogeneous relations with coefficients in {-1, 1, 2, 3}; 3 vanishes mod 3."""
+    relations = []
+    for _ in range(rng.randint(1, max_relations)):
+        deg = rng.randint(2, max_degree)
+        coeffs = {(deg, w): Fraction(rng.choice([-1, 1, 2, 3]))
+                  for w in range(num_words(d, deg)) if rng.random() < 0.4}
+        relations.append(Element(d, coeffs or {(deg, 0): Fraction(1)}))
+    return relations
+
+
+def dense_layer(basis, fld, ncols):
+    """An ideal_layers basis as dense rows, in its own row order."""
+    if fld.is_gf2:
+        return [[(r >> c) & 1 for c in range(ncols)] for r in basis]
+    if fld.is_rational:
+        return [[basis.rows[p].get(c, 0) for c in range(ncols)] for p in basis.pivots()]
+    rows, pivots = basis
+    assert pivots == [next(c for c, v in enumerate(r) if v) for r in rows.tolist()]
+    return rows.tolist()
+
+
+LAYER_SETS = [
+    ["y*x"],                        # in degree n, all but n - 1 relation rows reduce to zero
+    ["x*y - y*x", "x*x", "y*y"],    # full in degree 3
+    ["x*x - y*y", "x*y*x", "y*x*y"],    # full in degree 5
+    ["3*x*y", "y*x*y"],             # the first relation is zero mod 3: no rows survive
+    ["x - y", "x*y*x"],             # a degree-1 relation's rows span whole letter blocks
+    ["x*y - y*x"],
+]
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, Field(32749), QQ, Field(2147483647)],
+                         ids=lambda f: f.name)
+def test_ideal_layers_equal_the_rref_of_all_ufv(fld):
+    rng = random.Random(7)
+    cases = [(2, 7, [parse_expression(s) for s in rels]) for rels in LAYER_SETS]
+    cases += [(2, 7, random_weighted(rng, 2, 3, 4)) for _ in range(4)]
+    cases += [(3, 4, random_weighted(rng, 3, 2, 3)) for _ in range(3)]
+    for d, top, rels in cases:
+        layers = list(ideal_layers(rels, top, d, fld))
+        for j in range(1, top + 1):
+            want = ideal_oracle.rref(ideal_oracle.ufv_rows(rels, d, j, fld), fld)
+            if j > len(layers):             # the builder stops after a full layer
+                assert len(want) == d ** j, (rels, j)
+                continue
+            rank, basis = layers[j - 1]
+            got = dense_layer(basis, fld, d ** j)
+            assert rank == len(got) and got == want, (rels, fld, j)
+            # full reduction: each pivot is 1 and occurs in its own row only
+            for i, row in enumerate(got):
+                p = next(c for c, v in enumerate(row) if v)
+                assert row[p] == 1
+                assert [r[p] for r in got] == [int(k == i) for k in range(len(got))]
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3], ids=lambda f: f.name)
+def test_homogeneous_capacity_estimate_is_within_4x_of_peak(monkeypatch, fld):
+    c3 = random_homogeneous(random.Random(0))           # degrees 5 and 2
+    for rels in ([parse_expression("y*x")], c3):
+        for top in (10, 11, 12):
+            estimates = []
+            monkeypatch.setattr(series, "require_capacity",
+                                lambda nbytes, what: estimates.append(nbytes))
+            tracemalloc.start()
+            try:
+                dims = hilbert_quotient(rels, top, d=2, fld=fld)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0 < dims[-1] < 2 ** top and len(estimates) == top
+            assert peak / 4 <= max(estimates) <= 4 * peak, (rels, top, peak, estimates)
 
 
 # -- infinite dimensionality certificates --------------------------------
