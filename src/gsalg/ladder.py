@@ -19,6 +19,7 @@ built-in strategies).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,22 +332,23 @@ class BinaryDecomposition:
     u_greater: Subspace
 
 
-def _mono_chain(lad: Ladder, powers: List[int], k: int) -> Tuple[frozenset, frozenset]:
-    """(V-set, U-set) for the factor order given by ``powers``.
+def _mono_chain(lad: Ladder, powers: List[int], k: int) -> Tuple[frozenset, Subspace]:
+    """(V-set, U) for the factor order given by ``powers``.
 
     V is the concatenation product W(2^{p_1}) ... W(2^{p_r}) of the level
     W-sets, first factor leftmost; U is its complement, the words with
-    some aligned factor outside its level's W-set.  That matches the
-    spanning definitions sum_i A...U(2^{p_i})...A exactly.
+    some aligned factor outside its level's W-set, kept co-monomially as
+    "all words but V".  That matches the spanning definitions
+    sum_i A...U(2^{p_i})...A exactly.
     """
-    require_capacity((1 << k) * 64, f"decomposition sets at degree {k}")
+    # an unverified ladder may list words outside A(2^p); no factor is one
+    factors = [[b for b in lad.w_set(p) if b >> (1 << p) == 0] for p in powers]
+    require_capacity(64 * math.prod(map(len, factors)), f"V-set at degree {k}")
     v = {0}
-    for p in powers:
-        deg = 1 << p
-        # an unverified ladder may list words outside A(2^p); no factor is one
-        w = [b for b in lad.w_set(p) if b >> deg == 0]
-        v = {a << deg | b for a in v for b in w}
-    return frozenset(v), frozenset(range(1 << k)) - v
+    for p, w in zip(powers, factors):
+        v = {a << (1 << p) | b for a in v for b in w}
+    v = frozenset(v)
+    return v, Subspace(2, k, co=v)
 
 
 def _general_chain(lad: Ladder, powers: List[int], k: int) -> Tuple[Subspace, Subspace]:
@@ -382,12 +384,10 @@ def decompose_binary(lad: Ladder, k: int) -> BinaryDecomposition:
     mono = all(lad.level(p).u_is_complement() or lad.level(p).u().is_monomial
                for p in powers)
     if mono:
-        v_set, u_set = _mono_chain(lad, powers, k)
+        v_set, u_less = _mono_chain(lad, powers, k)
         v_less = Subspace(2, k, mono=v_set)
-        u_less = Subspace(2, k, mono=u_set)
-        v_set, u_set = _mono_chain(lad, list(reversed(powers)), k)
+        v_set, u_greater = _mono_chain(lad, list(reversed(powers)), k)
         v_greater = Subspace(2, k, mono=v_set)
-        u_greater = Subspace(2, k, mono=u_set)
     else:
         v_less, u_less = _general_chain(lad, powers, k)
         v_greater, u_greater = _general_chain(lad, list(reversed(powers)), k)
@@ -478,7 +478,7 @@ def compute_E(lad: Ladder, k: int) -> Subspace:
                 g = a * block + b
                 for shift in range(total - k + 1):
                     seen.add((g >> shift) & mask)
-        return Subspace(2, k, mono=frozenset(range(1 << k)) - seen)
+        return Subspace(2, k, co=frozenset(seen))
     # general backend: joint kernel over all (u, v) placements
     return _compute_e_kernel(lad, k, n)
 

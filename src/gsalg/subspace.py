@@ -1,16 +1,22 @@
 """Homogeneous subspaces of the free algebra.
 
 A Subspace lives inside the degree-k component A(k) over d letters.
-Two storage backends:
+Three storage forms:
 
 * monomial: a set of word indices; the space they span.  Valid over any
   coefficient field, and every set operation (sum, intersection,
   complement, product) stays a set operation.
+* co-monomial: the span of every degree-k word except a stored set.
+  It is the complement of a monomial space, kept on the small side:
+  dim, membership, sum, intersection, inclusion and complement are set
+  operations on the excluded words.  Only ``monomials()``, ``product``
+  and the rows promotion materialize the 2^k-sized word set, under a
+  capacity guard.  It serializes as the materialized monomial form.
 * rows: a reduced GF(2) basis (:class:`gsalg.linalg.BitBasis`) with bit
   j standing for word j.  Used for spans of genuine word sums; only
   supported over GF(2) and kept to modest degrees by capacity guards.
 
-All the built-in constructions produce monomial spaces; the rows
+All the built-in constructions produce (co-)monomial spaces; the rows
 backend exists so externally supplied spans can be checked too.
 """
 
@@ -36,16 +42,19 @@ def _guard_set(n: int, what: str):
 
 
 class Subspace:
-    __slots__ = ("d", "k", "mono", "rows")
+    __slots__ = ("d", "k", "mono", "rows", "co")
 
     def __init__(self, d: int, k: int, mono: Optional[frozenset] = None,
-                 rows: Optional[BitBasis] = None):
-        if (mono is None) == (rows is None):
+                 rows: Optional[BitBasis] = None, co: Optional[frozenset] = None):
+        """Exactly one of ``mono`` (spanning words), ``rows`` (a GF(2)
+        basis) or ``co`` (the excluded words, all inside A(k))."""
+        if (mono is None) + (rows is None) + (co is None) != 2:
             raise ValueError("exactly one backend expected")
         self.d = d
         self.k = k
         self.mono = mono
         self.rows = rows
+        self.co = co
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -63,9 +72,7 @@ class Subspace:
 
     @staticmethod
     def full_space(d: int, k: int) -> "Subspace":
-        n = num_words(d, k)
-        _guard_set(n, f"full degree-{k} component")
-        return Subspace(d, k, mono=frozenset(range(n)))
+        return Subspace(d, k, co=frozenset())
 
     @staticmethod
     def span_elements(d: int, k: int, elements: Iterable[Element],
@@ -107,10 +114,13 @@ class Subspace:
     # -- basic structure -------------------------------------------------
     @property
     def is_monomial(self) -> bool:
-        return self.mono is not None
+        """Spanned by words: the monomial or the co-monomial form."""
+        return self.rows is None
 
     @property
     def dim(self) -> int:
+        if self.co is not None:
+            return self.ambient_dim - len(self.co)
         return len(self.mono) if self.is_monomial else self.rows.rank
 
     @property
@@ -124,7 +134,11 @@ class Subspace:
     def monomials(self) -> frozenset:
         if not self.is_monomial:
             raise ValueError("not a monomial subspace")
-        return self.mono
+        if self.co is None:
+            return self.mono
+        n = self.ambient_dim
+        _guard_set(n, f"degree-{self.k} word set")
+        return frozenset(range(n)) - self.co
 
     def _as_basis(self) -> BitBasis:
         if not self.is_monomial:
@@ -132,10 +146,7 @@ class Subspace:
         if self.k > GENERAL_DEGREE_CAP:
             raise CapacityError(
                 f"cannot promote a degree-{self.k} monomial space to the rows backend")
-        b = BitBasis()
-        for i in self.mono:
-            b.insert(1 << i)
-        return b
+        return BitBasis({1 << i: 1 << i for i in self.monomials()})
 
     def _check(self, other: "Subspace", same_degree=True):
         if self.d != other.d:
@@ -145,6 +156,8 @@ class Subspace:
 
     # -- membership -------------------------------------------------------
     def contains_word(self, idx: int) -> bool:
+        if self.co is not None:
+            return 0 <= idx < self.ambient_dim and idx not in self.co
         if self.is_monomial:
             return idx in self.mono
         return self.rows.contains(1 << idx)
@@ -155,7 +168,7 @@ class Subspace:
         if not e.is_homogeneous() or e.degree() != self.k:
             return False
         if self.is_monomial:
-            return all(idx in self.mono
+            return all(self.contains_word(idx)
                        for (deg, idx), c in e.coeffs.items() if field.coerce(c))
         if field != GF2:
             raise NotImplementedError("rows backend is GF(2) only")
@@ -168,9 +181,14 @@ class Subspace:
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check(other)
         if self.is_monomial and other.is_monomial:
-            return self.mono <= other.mono
+            if self.co is None:
+                return (self.mono <= other.mono if other.co is None
+                        else self.mono.isdisjoint(other.co))
+            # every word outside self.co must be one of other's words
+            return (other.co <= self.co if other.co is not None
+                    else len(other.mono - self.co) == self.dim)
         if self.is_monomial:
-            return all(other.rows.contains(1 << i) for i in self.mono)
+            return all(other.rows.contains(1 << i) for i in self.monomials())
         target = other._as_basis()
         return all(target.contains(row) for row in self.rows.basis())
 
@@ -180,6 +198,11 @@ class Subspace:
     # -- lattice operations -------------------------------------------------
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
+        a, b = (self, other) if self.co is not None else (other, self)
+        if a.co is not None and b.is_monomial:
+            # the co-form's missing words, less those the other supplies
+            return Subspace(self.d, self.k,
+                            co=a.co & b.co if b.co is not None else a.co - b.mono)
         if self.is_monomial and other.is_monomial:
             return Subspace(self.d, self.k, mono=self.mono | other.mono)
         a, b = self._as_basis().copy(), other._as_basis()
@@ -188,8 +211,12 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        if self.is_monomial and other.is_monomial:
-            return Subspace(self.d, self.k, mono=self.mono & other.mono)
+        a, b = (self, other) if self.mono is not None else (other, self)
+        if a.mono is not None and b.is_monomial:
+            return Subspace(self.d, self.k,
+                            mono=a.mono & b.mono if b.mono is not None else a.mono - b.co)
+        if self.co is not None and other.co is not None:
+            return Subspace(self.d, self.k, co=self.co | other.co)
         out = intersect_bitspaces(self._as_basis(), other._as_basis(),
                                   self.ambient_dim)
         return Subspace(self.d, self.k, rows=out)
@@ -197,28 +224,29 @@ class Subspace:
     def complement(self) -> "Subspace":
         """A monomial complement: spanned by the words missing from a basis.
 
-        For a monomial space this is the set complement; for a rows
-        space the non-pivot words work (pivot words hit each basis row
-        exactly once).
+        For a (co-)monomial space this is the set complement, kept on
+        the small side; for a rows space the non-pivot words work (pivot
+        words hit each basis row exactly once).
         """
-        n = self.ambient_dim
+        if self.co is not None:
+            return Subspace(self.d, self.k, mono=self.co)
         if self.is_monomial:
-            _guard_set(n, f"complement in degree {self.k}")
+            # a set built unchecked may hold words outside A(k); they span nothing
+            n = self.ambient_dim
             return Subspace(self.d, self.k,
-                            mono=frozenset(range(n)) - self.mono)
-        taken = set(self.rows.pivots())
-        return Subspace(self.d, self.k,
-                        mono=frozenset(i for i in range(n) if i not in taken))
+                            co=frozenset(i for i in self.mono if 0 <= i < n))
+        return Subspace(self.d, self.k, co=frozenset(self.rows.pivots()))
 
     def product(self, other: "Subspace") -> "Subspace":
         """Span of pairwise concatenations, in degree k1 + k2."""
         self._check(other, same_degree=False)
         if self.is_monomial and other.is_monomial:
-            _guard_set(len(self.mono) * len(other.mono),
+            _guard_set(self.dim * other.dim,
                        f"product of degrees {self.k} and {other.k}")
             d, ka, kb = self.d, self.k, other.k
             block = num_words(d, kb)
-            out = frozenset(i * block + j for i in self.mono for j in other.mono)
+            right = other.monomials()
+            out = frozenset(i * block + j for i in self.monomials() for j in right)
             return Subspace(d, ka + kb, mono=out)
         if self.d != 2:
             raise NotImplementedError("rows-backend products need d = 2")
@@ -235,7 +263,7 @@ class Subspace:
     def to_json(self) -> dict:
         if self.is_monomial:
             return {"d": self.d, "degree": self.k, "kind": "monomial",
-                    "monomials": sorted(self.mono)}
+                    "monomials": sorted(self.monomials())}
         return {"d": self.d, "degree": self.k, "kind": "rows",
                 "field": "gf2",
                 "rows": [format(r, "x") for r in self.rows.basis()]}
@@ -254,7 +282,7 @@ class Subspace:
         kind = "monomial" if self.is_monomial else "gf2-span"
         head = f"{kind} subspace of A({self.k}), dim {self.dim}"
         if self.is_monomial and self.dim <= limit:
-            words = ", ".join(word_str(self.d, self.k, i) for i in sorted(self.mono))
+            words = ", ".join(word_str(self.d, self.k, i) for i in sorted(self.monomials()))
             return f"{head}: {{{words}}}" if words else f"{head} (zero)"
         return head
 

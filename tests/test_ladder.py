@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,45 @@ def test_split_sets_match_general_chain_oracle():
                 v, u = _general_chain(lad, order, k)
                 want += [v.monomials(), u.monomials()]
             assert _split_sets(lad, k) == want, (lad.strategy, lad.eschedule, k)
+
+
+def test_split_sets_match_a_brute_force_word_scan():
+    # past k = 10 the general chain is too slow; scan every word instead:
+    # it lies in V iff each aligned 2^p-factor is in its level's W-set
+    for lad in _fleet(3):
+        for k in range(11, 15):
+            powers = decompose_binary(lad, k).powers
+            want = []
+            for order in (powers, powers[::-1]):
+                cuts, shift = [], k
+                for p in order:
+                    shift -= 1 << p
+                    cuts.append((shift, (1 << (1 << p)) - 1, frozenset(lad.level(p).words)))
+                v = frozenset(w for w in range(1 << k)
+                              if all((w >> sh) & mask in ws for sh, mask, ws in cuts))
+                want += [v, frozenset(range(1 << k)) - v]
+            assert _split_sets(lad, k) == want, (lad.eschedule, k)
+
+
+def test_decomposition_holds_the_v_sets_only(monkeypatch):
+    # the guard counts the V-sets; U stays the complement of V
+    for lad in (_fleet(1)[0], build_ladder("lex-greedy", top=4, eschedule={5: 2})):
+        estimates = []
+
+        def record(nbytes, what):
+            estimates.append(nbytes)
+
+        monkeypatch.setattr(gsalg.ladder, "require_capacity", record)
+        decompose_binary(lad, 15)
+        estimate = sum(estimates)
+        tracemalloc.start()
+        try:
+            decompose_binary(lad, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate <= peak <= 4 * estimate, (estimate, peak)
+        assert peak < 256 << 10
 
 
 def test_split_sets_ignore_words_outside_their_level():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsalg.elements import Element
+from gsalg.fields import GF2, GF3
 from gsalg.limits import CapacityError
 from gsalg.linalg import (BitBasis, SparseBasis, bit_indices, intersect_bitspaces,
                           product_bits, rref_gf2, rref_modp)
@@ -219,6 +221,77 @@ def test_mixed_sum_intersect_dims():
     assert s.sum(m).dim == 2
     assert s.is_subspace_of(s.sum(m))
     assert not m.is_subspace_of(s)
+
+
+def _word_sets(n):
+    every = frozenset(range(n))
+    some = st.frozensets(st.integers(0, n - 1), max_size=12)
+    return st.one_of(st.just(frozenset()), st.just(every), some,
+                     some.map(lambda s: every - s))
+
+
+def _operand(data, k):
+    """(space, its oracle): the oracle spells a co-monomial space out as
+    the plain word set; monomial and rows spaces are their own oracle."""
+    n = 1 << k
+    kind = data.draw(st.sampled_from(["monomial", "co", "rows"]))
+    if kind == "rows":
+        basis = BitBasis()
+        basis.extend(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4)))
+        s = Subspace(2, k, rows=basis)
+        return s, s
+    words = data.draw(_word_sets(n))
+    if kind == "monomial":
+        s = Subspace.monomial_span(2, k, words)
+        return s, s
+    plain = frozenset(w for w in range(n) if w not in words)
+    return Subspace(2, k, co=words), Subspace(2, k, mono=plain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_co_monomial_form_matches_the_materialized_word_set(data):
+    k = data.draw(st.integers(0, 8), label="k")
+    n = 1 << k
+    excluded = data.draw(_word_sets(n), label="excluded")
+    co = Subspace(2, k, co=excluded)
+    plain = Subspace(2, k, mono=frozenset(w for w in range(n) if w not in excluded))
+    assert Subspace.monomial_span(2, k, excluded).complement().co == excluded
+    assert co.is_monomial and co.dim == plain.dim == n - len(excluded)
+    assert all(co.contains_word(w) == plain.contains_word(w) for w in range(-1, n + 1))
+    support = data.draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([1, 2]),
+                                        max_size=4))
+    e = Element(2, {(k, w): c for w, c in support.items()})
+    for field in (GF2, GF3):
+        assert co.contains_element(e, field) == plain.contains_element(e, field)
+    assert co.monomials() == plain.monomials()
+    assert co.complement().monomials() == excluded
+    assert plain.complement().monomials() == excluded
+    assert json.dumps(co.to_json()) == json.dumps(plain.to_json())
+    assert co.describe() == plain.describe()
+    assert co.describe(limit=n) == plain.describe(limit=n)
+    other, other_plain = _operand(data, k)
+    for a, b in ((co, other), (other, co)):
+        pa = plain if a is co else other_plain
+        pb = plain if b is co else other_plain
+        assert a.sum(b).to_json() == pa.sum(pb).to_json()
+        assert a.intersect(b).to_json() == pa.intersect(pb).to_json()
+        assert a.is_subspace_of(b) == pa.is_subspace_of(pb)
+        assert a.equals(b) == pa.equals(pb)
+    factor, factor_plain = _operand(data, data.draw(st.integers(0, 3), label="j"))
+    assert co.product(factor).to_json() == plain.product(factor_plain).to_json()
+    assert factor.product(co).to_json() == factor_plain.product(plain).to_json()
+
+
+def test_co_monomial_materializing_is_guarded(monkeypatch):
+    monkeypatch.setenv("GSALG_MEMORY_LIMIT_MB", "1")
+    big = Subspace.full_space(2, 20)
+    assert big.dim == 1 << 20 and big.contains_word(12345)
+    assert big.intersect(Subspace.monomial_span(2, 20, [7])).dim == 1
+    for materialize in (big.monomials, big._as_basis, big.to_json,
+                        lambda: big.product(Subspace.full_space(2, 1))):
+        with pytest.raises(CapacityError):
+            materialize()
 
 
 def test_subspace_json_round_trip():
